@@ -2,12 +2,16 @@
 
 The engine maintains, for every node i, a table over assignments of the bag
 of i into three component groups plus a separator. An assignment is encoded
-as a base-4 integer with one digit per bag vertex, ascending vertex order,
-smallest vertex in the most significant digit; digits 0..2 are the groups and
-digit 3 the separator (two-way mode drops the third group: base 3, digit 2 is
-the separator). A table maps code -> {nsep: cost} where nsep counts separator
-vertices in the subtree of i and cost sums, over those vertices, the edge
-distance from their shallowest containing bag to i.
+with one 2-bit digit per bag vertex, ascending vertex order, smallest vertex
+in the most significant digit; digits 0..2 are the groups and digit 3 the
+separator. Two-way mode uses the same encoding and never produces digit 2.
+Digits are read and written with shifts and masks: the digit of position idx
+in a bag of size s is (code >> 2*(s-1-idx)) & 3, and since the separator is
+the only digit with both bits set, (code & (code >> 1) & lows).bit_count()
+counts the separator digits at the positions whose low bits lows holds. A
+table maps code -> {nsep: cost} where nsep counts separator vertices in the
+subtree of i and cost sums, over those vertices, the edge distance from their
+shallowest containing bag to i.
 
 Supported operations: re-root one edge at a time (recomputes two tables),
 query a minimum split of the root bag, read back per-node restrictions of the
@@ -17,13 +21,49 @@ root (recomputes only the new tables).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ContractViolation
 from .graph import Graph
 from .treedec import TreeDecomposition, validate
 
-INF = None  # absent entry stands in for an unreachable state
+SEP = 3  # separator digit; 0..2 are the component groups
+
+
+def _lows(bag: list[int], keep: frozenset[int] | None = None) -> int:
+    """Low bit of the digit of every vertex of bag in keep (default: all)."""
+    size = len(bag)
+    out = 0
+    for idx, v in enumerate(bag):
+        if keep is None or v in keep:
+            out |= 1 << 2 * (size - 1 - idx)
+    return out
+
+
+def _keep_runs(bag: list[int], keep: frozenset[int]) -> list[tuple[int, int]]:
+    """(mask, shift) pairs packing a code over bag into a code over the
+    vertices of bag in keep: OR together (code & mask) >> shift."""
+    runs: list[tuple[int, int]] = []
+    mask = dropped = 0
+    for pos, v in enumerate(reversed(bag)):
+        if v in keep:
+            mask |= 3 << 2 * pos
+            continue
+        if mask:
+            runs.append((mask, 2 * dropped))
+            mask = 0
+        dropped += 1
+    if mask:
+        runs.append((mask, 2 * dropped))
+    return runs
+
+
+def _pack(code: int, runs: list[tuple[int, int]]) -> int:
+    out = 0
+    for mask, shift in runs:
+        out |= (code & mask) >> shift
+    return out
 
 
 @dataclass
@@ -46,6 +86,9 @@ class EditPlan:
 class SplitEngine:
     """Split tables over a rooted tree decomposition of maximum degree 3."""
 
+    base = 4  # digit values: three groups and the separator
+    xdigit = SEP
+
     def __init__(
         self,
         g: Graph,
@@ -64,8 +107,6 @@ class SplitEngine:
                 raise ContractViolation(f"node {i} has degree {len(nb)} > 3")
         self.g = g
         self.groups = groups
-        self.base = groups + 1
-        self.xdigit = self.base - 1
         self.hmax = max((len(b) for b in t.bags), default=1) - 1
         if self.hmax < 0:
             self.hmax = 0
@@ -112,203 +153,152 @@ class SplitEngine:
 
     # ------------------------------------------------------------------ codes
 
-    def _digit(self, code: int, idx: int, size: int) -> int:
-        return (code // self.base ** (size - 1 - idx)) % self.base
-
     def decode(self, code: int, bag: list[int]) -> tuple[frozenset[int], ...]:
-        parts: list[set[int]] = [set() for _ in range(self.base)]
+        parts: tuple[list[int], ...] = ([], [], [], [])
+        size = len(bag)
         for idx, v in enumerate(bag):
-            parts[self._digit(code, idx, len(bag))].add(v)
-        out = [frozenset(p) for p in parts]
-        if self.groups == 2:
-            return (out[0], out[1], frozenset(), out[2])
-        return (out[0], out[1], out[2], out[3])
+            parts[(code >> 2 * (size - 1 - idx)) & 3].append(v)
+        return tuple(frozenset(p) for p in parts)
 
     def encode(self, bag: list[int], assign: dict[int, int]) -> int:
         code = 0
         for v in bag:
-            code = code * self.base + assign[v]
+            code = code << 2 | assign[v]
         return code
 
     # ----------------------------------------------------------------- tables
 
-    def _local_table(self, i: int) -> dict[int, dict[int, int]]:
-        """Assignments of bag i alone: all codes without an internal edge
-        joining two distinct groups; nsep counts separator digits, cost 0."""
-        bag = self.bag_list[i]
-        xd = self.xdigit
-        entries: list[tuple[int, int]] = [(0, 0)]  # (code, nsep)
-        placed: list[int] = []
-        for v in bag:
-            nbr_idx = [j for j, u in enumerate(placed) if self.g.has_edge(u, v)]
-            size = len(placed)
-            nxt: list[tuple[int, int]] = []
-            for code, h in entries:
-                digs = [self._digit(code, j, size) for j in nbr_idx]
-                for dv in range(self.base):
-                    if dv == xd:
-                        if h + 1 <= self.hmax:
-                            nxt.append((code * self.base + dv, h + 1))
-                    elif all(du == dv or du == xd for du in digs):
-                        nxt.append((code * self.base + dv, h))
-            entries = nxt
-            placed.append(v)
-        out: dict[int, dict[int, int]] = {}
-        for code, h in entries:
-            out.setdefault(code, {})[h] = 0
-        return out
+    def _lift(self, child: int, i: int) -> dict[int, dict[int, int]]:
+        """Child table re-expressed over the bag of i.
 
-    def _reanchor(self, child: int, pset: frozenset[int]) -> dict[int, dict[int, int]]:
-        """Child table with costs advanced one edge toward the parent: each
-        separator vertex counted in nsep pays 1 unless still in both bags."""
+        One pass re-anchors and forgets: costs advance one edge toward i (each
+        separator vertex counted in nsep pays 1 unless it is in both bags) and
+        the vertices absent from bag i are projected out, taking minima. The
+        vertices of bag i absent from the child are then introduced.
+        """
+        pset = self.bags[i]
         cbag = self.bag_list[child]
-        size = len(cbag)
-        xd = self.xdigit
-        shared = [idx for idx, v in enumerate(cbag) if v in pset]
+        shared = _lows(cbag, pset)
+        runs = _keep_runs(cbag, pset)
         out: dict[int, dict[int, int]] = {}
         for code, hs in self.table[child].items():
-            xin = 0
-            for idx in shared:
-                if self._digit(code, idx, size) == xd:
-                    xin += 1
-            out[code] = {h: d + (h - xin) for h, d in hs.items()}
-        return out
-
-    def _forget_all(
-        self, tab: dict[int, dict[int, int]], bag: list[int], keep: frozenset[int]
-    ) -> tuple[dict[int, dict[int, int]], list[int]]:
-        """Project out every bag vertex not in keep, taking minima."""
-        size = len(bag)
-        drop = [idx for idx, v in enumerate(bag) if v not in keep]
-        if not drop:
-            return tab, list(bag)
-        cur = tab
-        cur_size = size
-        for idx in reversed(drop):
-            low_pw = self.base ** (cur_size - 1 - idx)
-            nxt: dict[int, dict[int, int]] = {}
-            for code, hs in cur.items():
-                high = code // (low_pw * self.base)
-                low = code % low_pw
-                ncode = high * low_pw + low
-                slot = nxt.setdefault(ncode, {})
-                for h, d in hs.items():
-                    if h not in slot or d < slot[h]:
-                        slot[h] = d
-            cur = nxt
-            cur_size -= 1
-        return cur, [v for v in bag if v in keep]
+            xin = (code & (code >> 1) & shared).bit_count()
+            ncode = 0
+            for mask, shift in runs:  # _pack, inlined: once per child code
+                ncode |= (code & mask) >> shift
+            slot = out.get(ncode)
+            if slot is None:
+                out[ncode] = {h: d + h - xin for h, d in hs.items()}
+                continue
+            for h, d in hs.items():
+                d += h - xin
+                old = slot.get(h)
+                if old is None or d < old:
+                    slot[h] = d
+        frame = [v for v in cbag if v in pset]
+        return self._introduce_all(out, frame, self.bag_list[i])
 
     def _introduce_all(
         self, tab: dict[int, dict[int, int]], frame: list[int], target: list[int]
     ) -> dict[int, dict[int, int]]:
         """Extend the frame to target (a superset) one vertex at a time,
-        rejecting assignments that put adjacent vertices in distinct groups."""
-        xd = self.xdigit
+        rejecting assignments that put adjacent vertices in distinct groups.
+
+        A new vertex may join group 0 when every neighbour digit is 0 or 3
+        (its two bits agree), group 1 when every neighbour digit has its low
+        bit set, group 2 when every one has its high bit set; the separator
+        is always allowed while nsep stays within hmax. Each (code, digit)
+        pair gives a distinct new code, so rows are passed on, not merged.
+        """
+        has_edge = self.g.has_edge
+        three = self.groups == 3
+        hmax = self.hmax
         cur = tab
         cur_frame = list(frame)
-        frame_set = set(frame)
         for v in target:
-            if v in frame_set:
+            idx = bisect_left(cur_frame, v)
+            if idx < len(cur_frame) and cur_frame[idx] == v:
                 continue
-            frame_set.add(v)
-            idx = 0
-            while idx < len(cur_frame) and cur_frame[idx] < v:
-                idx += 1
             size = len(cur_frame)
-            nbrs = [
-                (j, cur_frame[j])
-                for j in range(size)
-                if self.g.has_edge(cur_frame[j], v)
-            ]
-            low_pw = self.base ** (size - idx)
+            nb = 0
+            for j, u in enumerate(cur_frame):
+                if has_edge(u, v):
+                    nb |= 1 << 2 * (size - 1 - j)
+            sh = 2 * (size - idx)
+            low = (1 << sh) - 1
+            one, two, sep = 1 << sh, 2 << sh, SEP << sh
             nxt: dict[int, dict[int, int]] = {}
             for code, hs in cur.items():
-                digs = [self._digit(code, j, size) for j, _ in nbrs]
-                high = code // low_pw
-                low = code % low_pw
-                for dv in range(self.base):
-                    if dv != xd and any(du != dv and du != xd for du in digs):
-                        continue
-                    ncode = (high * self.base + dv) * low_pw + low
-                    slot = nxt.setdefault(ncode, {})
-                    if dv == xd:
-                        for h, d in hs.items():
-                            if h + 1 <= self.hmax and (
-                                h + 1 not in slot or d < slot[h + 1]
-                            ):
-                                slot[h + 1] = d
-                    else:
-                        for h, d in hs.items():
-                            if h not in slot or d < slot[h]:
-                                slot[h] = d
+                stem = (code >> sh) << (sh + 2) | (code & low)
+                if not (code ^ (code >> 1)) & nb:
+                    nxt[stem] = hs
+                if code & nb == nb:
+                    nxt[stem | one] = hs
+                if three and (code >> 1) & nb == nb:
+                    nxt[stem | two] = hs
+                row = {h + 1: d for h, d in hs.items() if h < hmax}
+                if row:
+                    nxt[stem | sep] = row
             cur = nxt
             cur_frame.insert(idx, v)
         return cur
-
-    def _lift(self, child: int, i: int) -> dict[int, dict[int, int]]:
-        """Child table re-expressed over the bag of i."""
-        pset = self.bags[i]
-        t1 = self._reanchor(child, pset)
-        t2, frame = self._forget_all(t1, self.bag_list[child], pset)
-        return self._introduce_all(t2, frame, self.bag_list[i])
 
     def _join(
         self,
         a: dict[int, dict[int, int]],
         b: dict[int, dict[int, int]],
-        bag: list[int],
+        lows: int,
     ) -> dict[int, dict[int, int]]:
-        size = len(bag)
-        xd = self.xdigit
+        hmax = self.hmax
         out: dict[int, dict[int, int]] = {}
         small, big = (a, b) if len(a) <= len(b) else (b, a)
         for code, hs1 in small.items():
             hs2 = big.get(code)
             if hs2 is None:
                 continue
-            xcnt = 0
-            for idx in range(size):
-                if self._digit(code, idx, size) == xd:
-                    xcnt += 1
+            xcnt = (code & (code >> 1) & lows).bit_count()
             slot: dict[int, int] = {}
             for h1, d1 in hs1.items():
                 for h2, d2 in hs2.items():
                     h = h1 + h2 - xcnt
-                    if h > self.hmax:
+                    if h > hmax:
                         continue
                     d = d1 + d2
-                    if h not in slot or d < slot[h]:
+                    old = slot.get(h)
+                    if old is None or d < old:
                         slot[h] = d
             if slot:
                 out[code] = slot
         return out
 
     def _chain(
-        self, i: int, keep: bool = False
-    ) -> tuple[
-        dict[int, dict[int, int]],
-        list[dict[int, dict[int, int]]],
-        list[dict[int, dict[int, int]]],
-    ]:
-        """Forward accumulation at node i; optionally keep intermediates.
+        self, i: int
+    ) -> tuple[list[dict[int, dict[int, int]]], list[dict[int, dict[int, int]]]]:
+        """Forward accumulation at node i.
 
-        Returns (final, accs, lifts) where accs[j] is the accumulated table
-        before joining child j and lifts[j] the lifted table of child j.
+        Returns (accs, lifts) where lifts[j] is the lifted table of child j
+        and accs[j] the join of lifts[0..j]; accs[-1] is the table of i. A
+        leaf's chain is its local table: every assignment of bag i alone
+        without an internal edge joining two distinct groups, at cost 0.
+        Inner nodes skip the local table: every lifted code is already valid
+        for bag i alone (the child checked the edges among shared vertices,
+        the introduce step those at each new vertex) and has nsep at least
+        its separator digit count, so joining the local table would return
+        the lifted table unchanged.
         """
-        acc = self._local_table(i)
-        accs: list[dict[int, dict[int, int]]] = []
-        lifts: list[dict[int, dict[int, int]]] = []
-        for c in self.children[i]:
-            lifted = self._lift(c, i)
-            if keep:
-                accs.append(acc)
-                lifts.append(lifted)
-            acc = self._join(acc, lifted, self.bag_list[i])
-        return acc, accs, lifts
+        bag = self.bag_list[i]
+        kids = self.children[i]
+        if not kids:
+            return [self._introduce_all({0: {0: 0}}, [], bag)], []
+        lows = _lows(bag)
+        lifts = [self._lift(c, i) for c in kids]
+        accs = [lifts[0]]
+        for lifted in lifts[1:]:
+            accs.append(self._join(accs[-1], lifted, lows))
+        return accs, lifts
 
     def _compute_table(self, i: int) -> None:
-        self.table[i], _, _ = self._chain(i)
+        self.table[i] = self._chain(i)[0][-1]
         self.tables_computed += 1
 
     # ------------------------------------------------------------------ moves
@@ -351,85 +341,53 @@ class SplitEngine:
         kids = self.children[i]
         if all(self.stamp.get(c) == self.epoch for c in kids):
             return
-        code_i, h_i, d_i = self.state[i]
-        _, accs, lifts = self._chain(i, keep=True)
-        need = (code_i, h_i, d_i)
-        for j in range(len(kids) - 1, -1, -1):
-            code, h, d = need
-            acc = accs[j]
-            lift = lifts[j]
-            xcnt = 0
-            size = len(self.bag_list[i])
-            for idx in range(size):
-                if self._digit(code, idx, size) == self.xdigit:
-                    xcnt += 1
-            found = None
-            for h1 in sorted(acc.get(code, {})):
-                d1 = acc[code][h1]
+        code, h, d = self.state[i]
+        accs, lifts = self._chain(i)
+        xcnt = (code & (code >> 1) & _lows(self.bag_list[i])).bit_count()
+        for j in range(len(kids) - 1, 0, -1):
+            acc_row = accs[j - 1].get(code, {})
+            hs2 = lifts[j].get(code, {})
+            for h1 in sorted(acc_row):
                 h2 = h + xcnt - h1
-                hs2 = lift.get(code, {})
-                if h2 in hs2 and d1 + hs2[h2] == d:
-                    found = (h1, d1, h2, hs2[h2])
+                if h2 in hs2 and acc_row[h1] + hs2[h2] == d:
                     break
-            if found is None:
+            else:
                 raise ContractViolation(
                     f"cannot invert join at node {i} for child {kids[j]}"
                 )
-            h1, d1, h2, d2 = found
-            self._invert_lift(kids[j], i, code, h2, d2)
-            need = (code, h1, d1)
-        code, h, d = need
-        local = self._local_table(i)
-        if local.get(code, {}).get(h) != d:
-            raise ContractViolation(f"chain inversion at node {i} left a residue")
+            self._invert_lift(kids[j], i, code, h2, hs2[h2])
+            h, d = h1, acc_row[h1]
+        # accs[0] is lifts[0] itself: what remains is its entry
+        if lifts[0].get(code, {}).get(h) != d:
+            raise ContractViolation(f"cannot invert join at node {i} for child {kids[0]}")
+        self._invert_lift(kids[0], i, code, h, d)
 
     def _invert_lift(self, child: int, i: int, code: int, h: int, d: int) -> None:
         """Recover the child's own table entry from a lifted entry and stamp it."""
         pset = self.bags[i]
         pbag = self.bag_list[i]
         cset = self.bags[child]
-        xd = self.xdigit
         # undo introduces: strip digits of vertices of bag i absent from child
-        size = len(pbag)
-        ccode, ch = code, h
-        for idx in range(size - 1, -1, -1):
-            if pbag[idx] in cset:
-                continue
-            low_pw = self.base ** (size - 1 - idx)
-            dv = (ccode // low_pw) % self.base
-            high = ccode // (low_pw * self.base)
-            ccode = high * low_pw + ccode % low_pw
-            size -= 1
-            if dv == xd:
-                ch -= 1
-        # now ccode ranges over bag(child) ∩ bag(i); undo the forget by scanning
-        # the re-anchored child table for the first matching full assignment
-        t1 = self._reanchor(child, pset)
+        intro = _lows(pbag) ^ _lows(pbag, cset)
+        ch = h - (code & (code >> 1) & intro).bit_count()
+        ccode = _pack(code, _keep_runs(pbag, cset))
+        # ccode ranges over bag(child) ∩ bag(i); undo the re-anchor and forget
+        # by scanning the child table, in code order, for the first full
+        # assignment with that projection whose re-anchored entry matches
         cbag = self.bag_list[child]
-        keep_idx = [idx for idx, v in enumerate(cbag) if v in pset]
-        csize = len(cbag)
-        target = None
-        for full_code in sorted(t1):
-            proj = 0
-            for idx in keep_idx:
-                proj = proj * self.base + self._digit(full_code, idx, csize)
-            if proj != ccode:
+        runs = _keep_runs(cbag, pset)
+        shared = _lows(cbag, pset)
+        ctab = self.table[child]
+        for full in sorted(ctab):
+            if _pack(full, runs) != ccode:
                 continue
-            if t1[full_code].get(ch) == d:
-                target = full_code
-                break
-        if target is None:
-            raise ContractViolation(f"cannot invert lift for child {child}")
-        # undo the re-anchor cost shift
-        xin = 0
-        for idx in keep_idx:
-            if self._digit(target, idx, csize) == xd:
-                xin += 1
-        d_child = d - (ch - xin)
-        if self.table[child].get(target, {}).get(ch) != d_child:
-            raise ContractViolation(f"recovered entry missing in child {child} table")
-        self.state[child] = (target, ch, d_child)
-        self.stamp[child] = self.epoch
+            d_child = ctab[full].get(ch)
+            xin = (full & (full >> 1) & shared).bit_count()
+            if d_child is not None and d_child + ch - xin == d:
+                self.state[child] = (full, ch, d_child)
+                self.stamp[child] = self.epoch
+                return
+        raise ContractViolation(f"cannot invert lift for child {child}")
 
     # ---------------------------------------------------------------- queries
 
@@ -442,14 +400,14 @@ class SplitEngine:
         """
         r = self.root
         wsize = len(self.bag_list[r])
+        lows = _lows(self.bag_list[r])
         best: tuple[int, int, int] | None = None
         for code, hs in self.table[r].items():
-            counts = [0] * self.base
-            tmp = code
-            for _ in range(wsize):
-                counts[tmp % self.base] += 1
-                tmp //= self.base
-            worst = max(counts[: self.groups])
+            high = code >> 1
+            n1 = (code & ~high & lows).bit_count()
+            n2 = (~code & high & lows).bit_count()
+            n0 = wsize - n1 - n2 - (code & high & lows).bit_count()
+            worst = max(n0, n1, n2)
             for h, d in hs.items():
                 if h + worst >= wsize:
                     continue

@@ -300,6 +300,27 @@ def _check_assembled_split(
         raise ContractViolation("assembled assignment is not a valid split")
 
 
+def _check_against_oracle(
+    engine: SplitEngine, cur: int, objective: tuple[int, int] | None
+) -> None:
+    """Check mode, small graphs only: the engine's split objective at the
+    root cur (None: no split) must match the exhaustive oracle's."""
+    g = engine.g
+    if g.n > ORACLE_CHECK_MAX_N:
+        return
+    from .oracle import exhaustive_min_split
+
+    exported, remap = engine.export_decomposition()
+    ref = exhaustive_min_split(
+        g, exported, remap[cur], engine.bags[cur], groups=engine.groups
+    )
+    want = None if ref is None else ref.objective
+    if want != objective:
+        raise ContractViolation(
+            f"engine split objective {objective} disagrees with oracle {want}"
+        )
+
+
 def reduce_width_pass(
     engine: SplitEngine,
     sentinel: int,
@@ -341,35 +362,12 @@ def reduce_width_pass(
             engine.move_to(parent)
             continue
         if not engine.split_query():
-            if check and g.n <= ORACLE_CHECK_MAX_N:
-                from .oracle import exhaustive_min_split
-
-                exported, remap = engine.export_decomposition()
-                ref = exhaustive_min_split(
-                    g,
-                    exported,
-                    remap[cur],
-                    engine.bags[cur],
-                    groups=engine.groups,
-                )
-                if ref is not None:
-                    raise ContractViolation(
-                        f"engine found no split but oracle found {ref.objective}"
-                    )
+            if check:
+                _check_against_oracle(engine, cur, None)
             return cur
         objective = engine.split_objective()
-        if check and g.n <= ORACLE_CHECK_MAX_N:
-            from .oracle import exhaustive_min_split
-
-            exported, remap = engine.export_decomposition()
-            ref = exhaustive_min_split(
-                g, exported, remap[cur], engine.bags[cur], groups=engine.groups
-            )
-            if ref is None or ref.objective != objective:
-                raise ContractViolation(
-                    f"engine split objective {objective} disagrees with oracle "
-                    f"{None if ref is None else ref.objective}"
-                )
+        if check:
+            _check_against_oracle(engine, cur, objective)
         info = find_editable(engine)
         if len(info.x_full) != objective[0]:
             raise ContractViolation(

@@ -117,3 +117,32 @@ def random_degree3_decomposition(
         TreeDecomposition([list(b) for b in t.bags], list(t.edges), root=root),
         root,
     )
+
+
+def coarsen(t: TreeDecomposition, cap: int) -> TreeDecomposition:
+    """Merge bags breadth-first from node 0: each node joins its parent's
+    group while the union holds at most `cap` vertices, else opens a group.
+
+    Groups are connected subtrees, so the result is a valid decomposition of
+    the same graph with width at most cap - 1.
+    """
+    adj = t.adjacency()
+    group = [-1] * len(t.bags)
+    members: list[set[int]] = [set(t.bags[0])]
+    gedges: list[tuple[int, int]] = []
+    group[0] = 0
+    queue = [0]
+    for cur in queue:
+        for nb in adj[cur]:
+            if group[nb] != -1:
+                continue
+            union = members[group[cur]] | set(t.bags[nb])
+            if len(union) <= cap:
+                members[group[cur]] = union
+                group[nb] = group[cur]
+            else:
+                group[nb] = len(members)
+                members.append(set(t.bags[nb]))
+                gedges.append((group[cur], group[nb]))
+            queue.append(nb)
+    return TreeDecomposition([sorted(m) for m in members], gedges, root=0)

@@ -67,8 +67,10 @@ def brute_table(g, engine, i):
     ]
     xd = engine.xdigit
     bag = engine.bag_list[i]
+    # two-way tables share the three-way encoding but never use group 2
+    digits = (0, 1, 2, xd) if engine.groups == 3 else (0, 1, xd)
     table = {}
-    for assign in itertools.product(range(engine.base), repeat=len(verts)):
+    for assign in itertools.product(digits, repeat=len(verts)):
         amap = dict(zip(verts, assign))
         if any(
             amap[u] != xd and amap[v] != xd and amap[u] != amap[v]
@@ -135,6 +137,36 @@ def test_encode_decode_round_trip():
     # smallest vertex owns the most significant digit
     assert e.encode(bag, {0: 3, 2: 0, 3: 0, 5: 0}) == 3 * 4 ** 3
     assert e.encode(bag, {0: 0, 2: 0, 3: 0, 5: 1}) == 1
+
+
+def test_two_way_encoding_never_uses_group_2():
+    rng = random.Random(918)
+    for _ in range(25):
+        g, t, root = small_instance(rng, nmax=9, fat_root=True)
+        e = SplitEngine(g, t, root=root, groups=2)
+        if e.split_query():
+            assert e.state_query()[2] == frozenset()
+        nodes = list(e.bags)
+        for _ in range(4):
+            e.move_to(rng.choice(nodes))
+        for i, tab in e.table.items():
+            bag = e.bag_list[i]
+            lows = sum(1 << 2 * j for j in range(len(bag)))
+            for code in tab:
+                # digit 2 is the only one with its high bit set and low bit clear
+                assert (code >> 1) & ~code & lows == 0
+                assert e.decode(code, bag)[2] == frozenset()
+    e = SplitEngine(Graph(1), TreeDecomposition([[0]], [], root=0), groups=2)
+    bag = [0, 2, 3, 5]
+    for _ in range(50):
+        assign = {v: rng.choice((0, 1, e.xdigit)) for v in bag}
+        code = e.encode(bag, assign)
+        parts = e.decode(code, bag)
+        assert parts[2] == frozenset()
+        for v in bag:
+            assert v in parts[assign[v]]
+        back = {v: digit for digit, part in enumerate(parts) for v in part}
+        assert e.encode(bag, back) == code
 
 
 def test_tables_match_brute_force():

@@ -1,0 +1,65 @@
+"""Byte-identity of results across engine rewrites.
+
+Pins the exact output of small engine-exercising runs, recorded once from a
+known-good engine: the SHA-256 of the emitted .td text (and, for a lower
+bound, of the certificate line plus its .td) together with the run counters.
+Any change to table codes, tie-breaking or split choice shows here.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from twapx import Decomposition, RunStats, approximate, emit_td
+
+from gen import coarsen, grid_graph, partial_ktree
+
+
+def result_text(r):
+    if isinstance(r, Decomposition):
+        return emit_td(r.td)
+    bag = " ".join(str(v + 1) for v in r.bag)
+    return f"LOWERBOUND k={r.k} bag {bag}\n" + emit_td(r.td)
+
+
+def coarse_ktree(seed, n, k):
+    g, t = partial_ktree(random.Random(seed), n, k=k)
+    return g, coarsen(t, 7)
+
+
+CASES = {
+    "ktree2-three-way": lambda: (*coarse_ktree(3, 16, 2), 2, "off"),
+    "ktree1-two-way": lambda: (*coarse_ktree(3, 16, 1), 1, "on"),
+    "grid4x4-lower-bound": lambda: (grid_graph(4, 4), None, 1, "auto"),
+}
+
+# name -> (first output line, sha256 of the full text,
+#          (passes, two_way_passes, splits, moves, tables))
+PINNED = {
+    "grid4x4-lower-bound": (
+        "LOWERBOUND k=1 bag 9 10 11 12 15",
+        "313477bbe9d40f571b8d7154adb1e9931b9d4919a5df8df9479127e12b575090",
+        (1, 0, 0, 25, 67),
+    ),
+    "ktree1-two-way": (
+        "s td 31 4 16",
+        "4532c01d8a6eca50d682318a707465e27fa646c52661324cc6d32ae25bfb11a9",
+        (3, 3, 3, 224, 536),
+    ),
+    "ktree2-three-way": (
+        "s td 11 6 16",
+        "07f32d576f83f5d1e20e33aeb44eab904a96e0666104600f540638f27b0ae2f3",
+        (1, 0, 2, 34, 82),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name):
+    g, t0, k, two_way = CASES[name]()
+    st = RunStats()
+    text = result_text(approximate(g, k, t0=t0, two_way=two_way, stats=st))
+    counts = (st.passes, st.two_way_passes, st.splits, st.moves, st.tables)
+    got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest(), counts)
+    assert got == PINNED[name]
