@@ -10,76 +10,28 @@ supported throughout.
 from .dpengine import EditPlan, SplitEngine
 from .errors import BudgetError, ContractViolation, ParseError
 from .graph import Graph, emit_gr, parse_gr
-from .improver import (
-    Decomposition,
-    EditableInfo,
-    LowerBound,
-    RunStats,
-    approximate,
-    build_replacement,
-    find_editable,
-    potential,
-    reduce_width_pass,
-)
-from .oracle import exact_treewidth, exact_treewidth_naive, exhaustive_min_split
-from .splits import (
-    Split,
-    better_objective,
-    canonical_groups,
-    is_valid_split,
-    make_split,
-    split_distance,
-)
-from .treedec import (
-    STRATEGIES,
-    RootedView,
-    TreeDecomposition,
-    decomposition_from_order,
-    emit_td,
-    initial_decomposition,
-    normalize_degree3,
-    parse_td,
-    root_and_home_bags,
-    validate,
-    width,
-)
+from .improver import Decomposition, LowerBound, RunStats, approximate
+from .oracle import exact_treewidth, exhaustive_min_split
+from .treedec import TreeDecomposition, emit_td, parse_td, validate, width
 
 __all__ = [
     "BudgetError",
     "ContractViolation",
     "Decomposition",
     "EditPlan",
-    "EditableInfo",
     "Graph",
     "LowerBound",
     "ParseError",
-    "RootedView",
     "RunStats",
-    "STRATEGIES",
-    "Split",
     "SplitEngine",
     "TreeDecomposition",
     "approximate",
-    "better_objective",
-    "build_replacement",
-    "canonical_groups",
-    "decomposition_from_order",
     "emit_gr",
     "emit_td",
     "exact_treewidth",
-    "exact_treewidth_naive",
     "exhaustive_min_split",
-    "find_editable",
-    "initial_decomposition",
-    "is_valid_split",
-    "make_split",
-    "normalize_degree3",
     "parse_gr",
     "parse_td",
-    "potential",
-    "reduce_width_pass",
-    "root_and_home_bags",
-    "split_distance",
     "validate",
     "width",
 ]

@@ -121,8 +121,6 @@ class SplitEngine:
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, dict[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
-        self.stamp: dict[int, int] = {}
-        self.epoch = 0
         self.root = r
         self._next_id = len(t.bags)
 
@@ -336,10 +334,10 @@ class SplitEngine:
     def _push_state(self, i: int) -> None:
         """Materialize split restrictions on the children of i by inverting
         the forward chain, when i has a current state and some child lacks one."""
-        if self.stamp.get(i) != self.epoch:
+        if i not in self.state:
             return
         kids = self.children[i]
-        if all(self.stamp.get(c) == self.epoch for c in kids):
+        if all(c in self.state for c in kids):
             return
         code, h, d = self.state[i]
         accs, lifts = self._chain(i)
@@ -363,7 +361,8 @@ class SplitEngine:
         self._invert_lift(kids[0], i, code, h, d)
 
     def _invert_lift(self, child: int, i: int, code: int, h: int, d: int) -> None:
-        """Recover the child's own table entry from a lifted entry and stamp it."""
+        """Recover the child's own table entry from a lifted entry and record
+        it as the child's state."""
         pset = self.bags[i]
         pbag = self.bag_list[i]
         cset = self.bags[child]
@@ -385,7 +384,6 @@ class SplitEngine:
             xin = (full & (full >> 1) & shared).bit_count()
             if d_child is not None and d_child + ch - xin == d:
                 self.state[child] = (full, ch, d_child)
-                self.stamp[child] = self.epoch
                 return
         raise ContractViolation(f"cannot invert lift for child {child}")
 
@@ -396,7 +394,7 @@ class SplitEngine:
 
         Scans root entries satisfying |W ∩ Cᵢ| + h < |W| for every group;
         when one exists, records the (h, d, code)-minimal one as the root's
-        state, advances the epoch, and returns True.
+        state, drops every other state, and returns True.
         """
         r = self.root
         wsize = len(self.bag_list[r])
@@ -417,27 +415,37 @@ class SplitEngine:
         if best is None:
             return False
         h, d, code = best
-        self.epoch += 1
         self.state = {r: (code, h, d)}
-        self.stamp = {r: self.epoch}
         return True
 
     def split_objective(self) -> tuple[int, int]:
         """(separator size, distance) of the split found by the last
         successful split_query."""
         r = self.root
-        if self.stamp.get(r) != self.epoch or r not in self.state:
+        if r not in self.state:
             raise ContractViolation("no split is active at the current root")
         _code, h, d = self.state[r]
         return (h, d)
 
     def state_query(self, i: int | None = None) -> tuple[frozenset[int], ...]:
         """Restriction of the current split to the bag of i (default: the
-        root) as (group1, group2, group3, separator), in table digit order."""
+        root) as (group1, group2, group3, separator), in table digit order.
+
+        Any node can be read while a split is active, without moving the
+        pointer: the states on the path down from the nearest ancestor of i
+        that has one are materialized by inverting forward chains, which
+        computes no table.
+        """
         if i is None:
             i = self.root
-        if self.stamp.get(i) != self.epoch or i not in self.state:
-            raise ContractViolation(f"node {i} has no assignment for the current split")
+        path = [i]
+        while path[-1] not in self.state:
+            p = self.parent.get(path[-1])
+            if p is None:
+                raise ContractViolation(f"node {i} has no assignment for the current split")
+            path.append(p)
+        for node in reversed(path[1:]):
+            self._push_state(node)
         code, _h, _d = self.state[i]
         return self.decode(code, self.bag_list[i])
 
@@ -521,8 +529,6 @@ class SplitEngine:
             del self.table[i]
             del self.parent[i]
             del self.children[i]
-            self.state.pop(i, None)
-            self.stamp.pop(i, None)
 
         ids = list(range(self._next_id, self._next_id + nn))
         self._next_id += nn
@@ -563,9 +569,7 @@ class SplitEngine:
         for i in reversed(order):
             if i in adj_new:
                 self._compute_table(i)
-        self.epoch += 1
         self.state = {}
-        self.stamp = {}
         return ids
 
     # ------------------------------------------------------------------ export

@@ -108,9 +108,11 @@ def find_editable(engine: SplitEngine) -> EditableInfo:
     """Explore the editable region around the split root.
 
     A node is editable when its bag meets at least two component groups and
-    the whole path to the split root is editable. The walk moves the engine
-    pointer into every examined node (materializing its state) and returns
-    with the pointer back at the split root.
+    the whole path to the split root is editable; the first node on a path
+    that is not editable is a border. The region is searched in preorder
+    from the split root, children in sorted order, and every state is read
+    in place with state_query: the pointer stays at the split root and no
+    table is computed.
     """
     u = engine.root
     st_u = engine.state_query()
@@ -120,25 +122,17 @@ def find_editable(engine: SplitEngine) -> EditableInfo:
     states = {u: st_u}
     borders: dict[int, int] = {}
     border_states: dict[int, tuple[frozenset[int], ...]] = {}
-    stack: list[tuple[int, list[int]]] = [(u, list(engine.children[u]))]
+    stack = engine.children[u][::-1]
     while stack:
-        cur, todo = stack[-1]
-        if not todo:
-            stack.pop()
-            if stack:
-                engine.move_to(stack[-1][0])
-            continue
-        c = todo.pop(0)
-        engine.move_to(c)
-        stc = engine.state_query()
+        c = stack.pop()
+        stc = engine.state_query(c)
         if _group_count(stc) >= 2:
             nodes.append(c)
             states[c] = stc
-            stack.append((c, [x for x in engine.children[c] if x != cur]))
+            stack.extend(reversed(engine.children[c]))
         else:
             borders[c] = next((i for i in range(3) if stc[i]), 0)
             border_states[c] = stc
-            engine.move_to(cur)
     x_full = frozenset().union(
         *(s[3] for s in states.values()), *(s[3] for s in border_states.values())
     )

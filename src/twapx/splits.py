@@ -54,15 +54,6 @@ def split_distance(x: frozenset[int] | set[int], rv: RootedView) -> int:
     return sum(rv.depth[rv.home[v]] for v in x)
 
 
-def better_objective(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """-1 if a is strictly better (lexicographically smaller), 1 if worse, 0 if tied."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def is_valid_split(
     g: Graph,
     w: frozenset[int] | set[int],

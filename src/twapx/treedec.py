@@ -442,11 +442,9 @@ def initial_decomposition(g: Graph, strategy: str = "min-degree") -> TreeDecompo
     implied; the improvement loop works from any valid starting point.
     """
     if strategy == "trivial":
-        if g.n == 0:
-            return TreeDecomposition([[]], [], root=0)
         return TreeDecomposition([list(range(g.n))], [], root=0)
     if strategy == "min-degree":
-        return decomposition_from_order(g, _min_degree_order(g)) if g.n else TreeDecomposition([[]], [], root=0)
+        return decomposition_from_order(g, _min_degree_order(g))
     if strategy == "min-fill":
-        return decomposition_from_order(g, _min_fill_order(g)) if g.n else TreeDecomposition([[]], [], root=0)
+        return decomposition_from_order(g, _min_fill_order(g))
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from twapx import Graph, TreeDecomposition, decomposition_from_order, normalize_degree3
+from twapx import Graph, TreeDecomposition
+from twapx.treedec import decomposition_from_order, normalize_degree3
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 0) -> Graph:

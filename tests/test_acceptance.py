@@ -36,6 +36,7 @@ from twapx import (
     validate,
     width,
 )
+from twapx.treedec import decomposition_from_order
 
 from conftest import record
 from gen import (
@@ -312,8 +313,6 @@ def test_criterion_7_format_fidelity():
         g = random_connected_graph(rng, n, rng.randint(0, n))
         order = list(range(n))
         rng.shuffle(order)
-        from twapx import decomposition_from_order
-
         t = decomposition_from_order(g, order)
         s = emit_td(t)
         u = parse_td(s)

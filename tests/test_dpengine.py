@@ -20,8 +20,9 @@ from twapx import (
     SplitEngine,
     TreeDecomposition,
     exhaustive_min_split,
-    normalize_degree3,
 )
+from twapx.splits import is_valid_split
+from twapx.treedec import normalize_degree3
 
 from gen import (
     clique,
@@ -314,20 +315,21 @@ def test_state_query_path3_worked_example():
 
 
 def assemble_split(e):
-    """Visit every node, collect per-bag states, fuse into one split."""
+    """Visit every node, collect per-bag states, fuse into one split.
+
+    Returns the fused vertex -> group map and the per-node states."""
     group = {}
+    states = {}
     for i in list(e.bags):
         e.move_to(i)
-        parts = e.state_query()
+        parts = states[i] = e.state_query()
         for gi, part in enumerate(parts):
             for v in part:
                 assert group.setdefault(v, gi) == gi
-    return group
+    return group, states
 
 
 def test_propagated_states_form_valid_split():
-    from twapx import is_valid_split
-
     rng = random.Random(916)
     checked = 0
     for _ in range(120):
@@ -337,7 +339,14 @@ def test_propagated_states_form_valid_split():
             continue
         h, d = e.split_objective()
         w = set(t.bags[root])
-        group = assemble_split(e)
+        # every node reads in place, with no move and no table built ...
+        in_place = {i: e.state_query(i) for i in e.bags}
+        assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
+        # ... and agrees with the states a walk to every node materializes
+        e = SplitEngine(g, t, root=root)
+        assert e.split_query()
+        group, states = assemble_split(e)
+        assert states == in_place
         assert set(group) == set(range(g.n))
         cs = [frozenset(v for v, gi in group.items() if gi == j) for j in range(4)]
         assert len(cs[3]) == h

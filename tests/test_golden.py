@@ -45,12 +45,12 @@ PINNED = {
     "ktree1-two-way": (
         "s td 31 4 16",
         "4532c01d8a6eca50d682318a707465e27fa646c52661324cc6d32ae25bfb11a9",
-        (3, 3, 3, 224, 536),
+        (3, 3, 3, 158, 404),
     ),
     "ktree2-three-way": (
         "s td 11 6 16",
         "07f32d576f83f5d1e20e33aeb44eab904a96e0666104600f540638f27b0ae2f3",
-        (1, 0, 2, 34, 82),
+        (1, 0, 2, 26, 66),
     ),
 }
 

@@ -13,14 +13,12 @@ from twapx import (
     SplitEngine,
     TreeDecomposition,
     approximate,
-    build_replacement,
     exact_treewidth,
     exhaustive_min_split,
-    find_editable,
-    potential,
     validate,
     width,
 )
+from twapx.improver import build_replacement, find_editable, potential
 
 from gen import (
     clique,
@@ -45,7 +43,9 @@ def test_find_editable_path3_star_region():
     t = TreeDecomposition([[0, 1, 2], []], [(0, 1)], root=0)
     e = SplitEngine(g, t, root=0)
     assert e.split_query()
+    moves, tables = e.moves, e.tables_computed
     info = find_editable(e)
+    assert (e.moves, e.tables_computed) == (moves, tables)
     assert info.nodes == [0]
     assert info.states[0] == (
         frozenset({0}),

@@ -14,12 +14,11 @@ from twapx import (
     Graph,
     TreeDecomposition,
     exact_treewidth,
-    exact_treewidth_naive,
     exhaustive_min_split,
-    normalize_degree3,
-    root_and_home_bags,
-    split_distance,
 )
+from twapx.oracle import exact_treewidth_naive
+from twapx.splits import split_distance
+from twapx.treedec import normalize_degree3, root_and_home_bags
 
 from gen import (
     clique,

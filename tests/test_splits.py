@@ -2,17 +2,15 @@
 
 import pytest
 
-from twapx import (
-    ContractViolation,
+from twapx import ContractViolation, TreeDecomposition
+from twapx.splits import (
     Split,
-    TreeDecomposition,
-    better_objective,
     canonical_groups,
     is_valid_split,
     make_split,
-    root_and_home_bags,
     split_distance,
 )
+from twapx.treedec import root_and_home_bags
 
 from gen import clique, path_graph
 
@@ -91,9 +89,3 @@ def test_make_split_objective_and_form():
     assert s.groups == (fs(0), fs(2), fs())
     assert s.objective == (1, 0)
     assert s.x == fs(1)
-
-
-def test_better_objective():
-    assert better_objective((1, 5), (2, 0)) == -1
-    assert better_objective((2, 1), (2, 0)) == 1
-    assert better_objective((2, 0), (2, 0)) == 0

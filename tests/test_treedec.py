@@ -5,19 +5,13 @@ import random
 
 import pytest
 
-from twapx import (
+from twapx import Graph, ParseError, TreeDecomposition, emit_td, parse_td, validate, width
+from twapx.treedec import (
     STRATEGIES,
-    Graph,
-    ParseError,
-    TreeDecomposition,
     decomposition_from_order,
-    emit_td,
     initial_decomposition,
     normalize_degree3,
-    parse_td,
     root_and_home_bags,
-    validate,
-    width,
 )
 
 from gen import clique, grid_graph, path_graph, random_connected_graph, star_graph
@@ -175,8 +169,10 @@ def test_decomposition_from_order_empty_graph():
 def test_strategies_all_valid():
     rng = random.Random(303)
     for strategy in STRATEGIES:
+        empty = initial_decomposition(Graph(0), strategy)
+        assert (empty.bags, empty.root) == ([[]], 0), strategy
         for _ in range(30):
-            n = rng.randint(1, 12)
+            n = rng.randint(0, 12)
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
             t = initial_decomposition(g, strategy)
             assert validate(g, t) == [], strategy
