@@ -15,8 +15,9 @@ shallowest containing bag to i.
 
 Supported operations: re-root one edge at a time (recomputes two tables),
 query a minimum split of the root bag, read back per-node restrictions of the
-chosen split, and splice a replacement subtree over a region containing the
-root (recomputes only the new tables).
+chosen split in place, and splice a replacement subtree over a region
+containing the root (recomputes only the new tables). A split stays active
+from the query until the next move or edit, which end it.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ class SplitEngine:
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, dict[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
-        self.root = r
         self._next_id = len(t.bags)
 
         self.tables_computed = 0
@@ -130,24 +130,31 @@ class SplitEngine:
         for i, bag in enumerate(t.bags):
             self.bags[i] = frozenset(bag)
             self.bag_list[i] = list(bag)
-            self.children[i] = []
-        order = [r]
-        self.parent[r] = None
-        seen = {r}
-        head = 0
-        while head < len(order):
-            cur = order[head]
-            head += 1
+        self._orient(dict(enumerate(adj)), r)
+
+    def _orient(self, adj: dict[int, list[int]], root: int) -> None:
+        """Root the nodes of adj at root, breadth-first: every neighbour not
+        yet reached becomes a child. Children are sorted and tables computed
+        from the leaves up. A neighbour that is not a key of adj keeps its own
+        subtree and table."""
+        self.parent[root] = None
+        self.root = root
+        order = [root]
+        seen = {root}
+        for cur in order:
+            if cur not in adj:
+                continue
+            kids = self.children[cur] = []
             for nb in adj[cur]:
                 if nb not in seen:
                     seen.add(nb)
                     self.parent[nb] = cur
-                    self.children[cur].append(nb)
+                    kids.append(nb)
                     order.append(nb)
-        for i in self.children:
-            self.children[i].sort()
+            kids.sort()
         for i in reversed(order):
-            self._compute_table(i)
+            if i in adj:
+                self._compute_table(i)
 
     # ------------------------------------------------------------------ codes
 
@@ -302,9 +309,11 @@ class SplitEngine:
     # ------------------------------------------------------------------ moves
 
     def move_to(self, target: int) -> None:
-        """Re-root at target, stepping one tree edge at a time."""
+        """Re-root at target, stepping one tree edge at a time. Ends the
+        active split, if any."""
         if target not in self.bags:
             raise ContractViolation(f"unknown node {target}")
+        self.state = {}
         path = [target]
         while path[-1] != self.root:
             p = self.parent[path[-1]]
@@ -318,8 +327,6 @@ class SplitEngine:
         r = self.root
         if self.parent[s] != r:
             raise ContractViolation(f"node {s} is not a child of the root")
-        self._push_state(r)
-        self._push_state(s)
         # re-root the edge (r, s)
         self.children[r].remove(s)
         self.parent[r] = s
@@ -389,12 +396,13 @@ class SplitEngine:
 
     # ---------------------------------------------------------------- queries
 
-    def split_query(self) -> bool:
+    def split_query(self) -> tuple[int, int] | None:
         """Look for a minimum split of the root bag.
 
         Scans root entries satisfying |W ∩ Cᵢ| + h < |W| for every group;
-        when one exists, records the (h, d, code)-minimal one as the root's
-        state, drops every other state, and returns True.
+        when one exists, makes the (h, d, code)-minimal one the active split
+        and returns its objective (separator size h, distance d). Returns
+        None, with no split active, when the bag has no split.
         """
         r = self.root
         wsize = len(self.bag_list[r])
@@ -413,28 +421,20 @@ class SplitEngine:
                 if best is None or cand < best:
                     best = cand
         if best is None:
-            return False
+            self.state = {}
+            return None
         h, d, code = best
         self.state = {r: (code, h, d)}
-        return True
-
-    def split_objective(self) -> tuple[int, int]:
-        """(separator size, distance) of the split found by the last
-        successful split_query."""
-        r = self.root
-        if r not in self.state:
-            raise ContractViolation("no split is active at the current root")
-        _code, h, d = self.state[r]
         return (h, d)
 
     def state_query(self, i: int | None = None) -> tuple[frozenset[int], ...]:
         """Restriction of the current split to the bag of i (default: the
         root) as (group1, group2, group3, separator), in table digit order.
 
-        Any node can be read while a split is active, without moving the
-        pointer: the states on the path down from the nearest ancestor of i
-        that has one are materialized by inverting forward chains, which
-        computes no table.
+        A split is active from a successful split_query until the next move
+        or edit, and any node can be read meanwhile: the states on the path
+        down from the nearest ancestor of i that has one are materialized by
+        inverting forward chains, which computes no table.
         """
         if i is None:
             i = self.root
@@ -533,42 +533,15 @@ class SplitEngine:
         ids = list(range(self._next_id, self._next_id + nn))
         self._next_id += nn
         for loc, bag in enumerate(plan.bags):
-            i = ids[loc]
-            self.bags[i] = frozenset(bag)
-            self.bag_list[i] = sorted(bag)
-            self.children[i] = []
-            self.parent[i] = None
-
-        new_root = ids[plan.pointer]
+            self.bags[ids[loc]] = frozenset(bag)
+            self.bag_list[ids[loc]] = sorted(bag)
         adj_new: dict[int, list[int]] = {i: [] for i in ids}
         for a, b in plan.edges:
             adj_new[ids[a]].append(ids[b])
             adj_new[ids[b]].append(ids[a])
         for border, loc in plan.attach.items():
             adj_new[ids[loc]].append(border)
-
-        order = [new_root]
-        seen2 = {new_root}
-        head = 0
-        while head < len(order):
-            cur = order[head]
-            head += 1
-            if cur not in adj_new:
-                continue  # border: keeps its old subtree orientation
-            for nb in adj_new[cur]:
-                if nb in seen2:
-                    continue
-                seen2.add(nb)
-                self.parent[nb] = cur
-                self.children[cur].append(nb)
-                order.append(nb)
-        for i in ids:
-            self.children[i].sort()
-        self.parent[new_root] = None
-        self.root = new_root
-        for i in reversed(order):
-            if i in adj_new:
-                self._compute_table(i)
+        self._orient(adj_new, ids[plan.pointer])
         self.state = {}
         return ids
 

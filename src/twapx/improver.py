@@ -84,14 +84,14 @@ class EditableInfo:
     """The region rewritten by one local split.
 
     nodes lists the editable bags in discovery order starting at the split
-    root; borders maps each surviving neighbor to the index of the single
+    root; states holds the split's restriction to every editable and border
+    bag; borders maps each surviving neighbor to the index of the single
     component group its bag meets (0 when the bag lies inside the separator).
     """
 
     nodes: list[int]
     states: dict[int, tuple[frozenset[int], ...]]
     borders: dict[int, int]
-    border_states: dict[int, tuple[frozenset[int], ...]]
     x_full: frozenset[int]
 
 
@@ -110,9 +110,10 @@ def find_editable(engine: SplitEngine) -> EditableInfo:
     A node is editable when its bag meets at least two component groups and
     the whole path to the split root is editable; the first node on a path
     that is not editable is a border. The region is searched in preorder
-    from the split root, children in sorted order, and every state is read
-    in place with state_query: the pointer stays at the split root and no
-    table is computed.
+    from the split root, children in sorted order, and the state of every
+    editable and border bag is read in place with state_query, which needs
+    the split from the last split_query still active: the pointer stays at
+    the split root and no table is computed.
     """
     u = engine.root
     st_u = engine.state_query()
@@ -121,28 +122,17 @@ def find_editable(engine: SplitEngine) -> EditableInfo:
     nodes = [u]
     states = {u: st_u}
     borders: dict[int, int] = {}
-    border_states: dict[int, tuple[frozenset[int], ...]] = {}
     stack = engine.children[u][::-1]
     while stack:
         c = stack.pop()
-        stc = engine.state_query(c)
+        stc = states[c] = engine.state_query(c)
         if _group_count(stc) >= 2:
             nodes.append(c)
-            states[c] = stc
             stack.extend(reversed(engine.children[c]))
         else:
             borders[c] = next((i for i in range(3) if stc[i]), 0)
-            border_states[c] = stc
-    x_full = frozenset().union(
-        *(s[3] for s in states.values()), *(s[3] for s in border_states.values())
-    )
-    return EditableInfo(
-        nodes=nodes,
-        states=states,
-        borders=borders,
-        border_states=border_states,
-        x_full=x_full,
-    )
+    x_full = frozenset().union(*(s[3] for s in states.values()))
+    return EditableInfo(nodes=nodes, states=states, borders=borders, x_full=x_full)
 
 
 def build_replacement(
@@ -170,9 +160,7 @@ def build_replacement(
         for c in engine.children[m]:
             if c in rset:
                 acc |= bx[c]
-                acc |= info.states[c][3] - engine.bags[m]
-            else:
-                acc |= info.border_states[c][3] - engine.bags[m]
+            acc |= info.states[c][3] - engine.bags[m]
         bx[m] = frozenset(acc)
 
     for m in rnodes:
@@ -240,21 +228,16 @@ def build_replacement(
     )
 
 
-def _check_open_path(
-    engine: SplitEngine, status: dict[int, str], dfs_parent: dict[int, int | None]
-) -> None:
-    open_set = {i for i, s in status.items() if s == "open"}
-    path = []
-    cur: int | None = engine.root
-    while cur is not None:
-        path.append(cur)
-        if status.get(cur) != "open":
-            raise ContractViolation(f"walk node {cur} is not open")
-        cur = dfs_parent[cur]
-    if set(path) != open_set:
+def _check_open_path(engine: SplitEngine, path: list[int]) -> None:
+    """Check mode: the walk's open nodes, in the order opened, must be the
+    tree path that ends at the pointer."""
+    if path[-1] != engine.root or len(set(path)) != len(path):
         raise ContractViolation(
-            f"open nodes {sorted(open_set)} do not form the walk path {path}"
+            f"walk path {path} does not end once at the pointer {engine.root}"
         )
+    for a, b in zip(path, path[1:]):
+        if engine.parent[a] != b:
+            raise ContractViolation(f"walk step {a} -> {b} is not a tree edge")
 
 
 def _check_assembled_split(
@@ -263,7 +246,7 @@ def _check_assembled_split(
     """Reassemble a full vertex partition from the per-bag restrictions and
     verify it is a valid split of w."""
     group_of: dict[int, int] = {}
-    for st in list(info.states.values()) + list(info.border_states.values()):
+    for st in info.states.values():
         for gi in range(3):
             for v in st[gi]:
                 if group_of.setdefault(v, gi) != gi:
@@ -330,38 +313,32 @@ def reduce_width_pass(
     """
     w = engine.hmax
     g = engine.g
-    status: dict[int, str] = {i: "unseen" for i in engine.bags}
-    dfs_parent: dict[int, int | None] = {sentinel: None}
     engine.move_to(sentinel)
-    status[sentinel] = "open"
+    path = [sentinel]  # the open nodes, sentinel first, ending at the pointer
+    seen = {sentinel}
     while True:
         if check:
-            _check_open_path(engine, status, dfs_parent)
+            _check_open_path(engine, path)
         cur = engine.root
-        nxt = next((c for c in engine.children[cur] if status.get(c) == "unseen"), None)
+        nxt = next((c for c in engine.children[cur] if c not in seen), None)
         if nxt is not None:
-            status[nxt] = "open"
-            dfs_parent[nxt] = cur
+            seen.add(nxt)
+            path.append(nxt)
             engine.move_to(nxt)
             continue
         if cur == sentinel:
-            status[cur] = "closed"
-            if check and any(s != "closed" for s in status.values()):
+            if check and not seen.issuperset(engine.bags):
                 raise ContractViolation("pass ended with unprocessed nodes")
             return None
         if len(engine.bags[cur]) <= w:
-            status[cur] = "closed"
-            parent = dfs_parent[cur]
-            assert parent is not None
-            engine.move_to(parent)
+            path.pop()
+            engine.move_to(path[-1])
             continue
-        if not engine.split_query():
-            if check:
-                _check_against_oracle(engine, cur, None)
-            return cur
-        objective = engine.split_objective()
+        objective = engine.split_query()
         if check:
             _check_against_oracle(engine, cur, objective)
+        if objective is None:
+            return cur
         info = find_editable(engine)
         if len(info.x_full) != objective[0]:
             raise ContractViolation(
@@ -370,21 +347,15 @@ def reduce_width_pass(
             )
         if check:
             _check_assembled_split(g, engine.bags[cur], info)
-        q = dfs_parent[cur]
         rset = set(info.nodes)
-        while q in rset:
-            q = dfs_parent[q]
-        assert q is not None
+        while path[-1] in rset:
+            path.pop()
+        q = path[-1]
         removed_sizes = [len(engine.bags[m]) for m in info.nodes]
         if check:
             pre_hist = sum(1 for b in engine.bags.values() if len(b) == w + 1)
         plan = build_replacement(engine, info, q)
         new_ids = engine.edit(plan)
-        for m in info.nodes:
-            del status[m]
-            dfs_parent.pop(m, None)
-        for i in new_ids:
-            status[i] = "unseen"
         if stats is not None:
             stats.splits += 1
             stats.inserted += len(new_ids)

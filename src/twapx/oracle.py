@@ -13,7 +13,7 @@ from itertools import permutations
 from .errors import BudgetError
 from .graph import Graph
 from .splits import Split, make_split
-from .treedec import RootedView, TreeDecomposition
+from .treedec import TreeDecomposition, root_and_home_bags
 
 
 def _check_budget(g: Graph, max_n: int, what: str) -> None:
@@ -108,37 +108,6 @@ def exact_treewidth_naive(g: Graph, max_n: int = 7) -> int:
     return best
 
 
-def _rooted_view(t: TreeDecomposition, root: int) -> RootedView:
-    # deliberately re-derived here rather than imported from the engine side
-    adj: list[list[int]] = [[] for _ in t.bags]
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        lst.sort()
-    parent: list[int | None] = [None] * len(t.bags)
-    depth = [0] * len(t.bags)
-    order = [root]
-    head = 0
-    seen = [False] * len(t.bags)
-    seen[root] = True
-    while head < len(order):
-        cur = order[head]
-        head += 1
-        for nb in adj[cur]:
-            if not seen[nb]:
-                seen[nb] = True
-                parent[nb] = cur
-                depth[nb] = depth[cur] + 1
-                order.append(nb)
-    home: dict[int, int] = {}
-    for node in order:
-        for x in t.bags[node]:
-            if x not in home:
-                home[x] = node
-    return RootedView(root=root, parent=parent, depth=depth, home=home, order=order)
-
-
 def _components_avoiding(g: Graph, banned: frozenset[int]) -> list[list[int]]:
     seen = set(banned)
     comps = []
@@ -203,7 +172,9 @@ def exhaustive_min_split(
     _check_budget(g, max_n, "exhaustive_min_split")
     if groups not in (2, 3):
         raise ValueError("groups must be 2 or 3")
-    rv = _rooted_view(t, root)
+    # the engine orients its tree with its own code, so these home depths
+    # stay an independent reference for its distance term
+    rv = root_and_home_bags(t, root)
     wset = frozenset(w)
     n = g.n
     dvec = [rv.depth[rv.home[v]] for v in range(n)]

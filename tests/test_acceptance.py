@@ -164,11 +164,10 @@ def test_criterion_3_dp_oracle_equivalence():
         e = SplitEngine(g, t, root=root)
         got = e.split_query()
         want = exhaustive_min_split(g, t, root, t.bags[root])
-        assert got == (want is not None), (g.edges(), t.bags, root)
+        assert got == (want and want.objective), (g.edges(), t.bags, root)
         if want is None:
             absent += 1
         else:
-            assert e.split_objective() == want.objective
             found += 1
     assert found >= 50 and absent >= 50
     record(

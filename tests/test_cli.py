@@ -1,11 +1,14 @@
 """Command-line interface tests, driven through run_cli plus one real
 subprocess round-trip."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twapx
 from twapx import emit_gr, parse_td, validate, width
 from twapx.cli import run_cli
 
@@ -148,6 +151,16 @@ def test_negative_k_rejected(p3, capsys):
     assert "error:" in cap.err
 
 
+def child_env():
+    """Environment for a child `python -m twapx.cli`: the directory that
+    holds the imported twapx package goes first on PYTHONPATH, so the child
+    runs the code under test whether or not the package is installed."""
+    env = dict(os.environ)
+    top = str(Path(twapx.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [top, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_subprocess_round_trip(tmp_path):
     gr = tmp_path / "g.gr"
     gr.write_text(P3_GR)
@@ -167,6 +180,7 @@ def test_subprocess_round_trip(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().startswith("WIDTH ")
@@ -183,6 +197,7 @@ def test_subprocess_round_trip(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert check.returncode == 0
     assert check.stdout.strip() == "OK"
@@ -194,6 +209,7 @@ def test_graph_dash_reads_stdin():
         input=P3_GR,
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("s td ")

@@ -269,9 +269,8 @@ def test_split_query_matches_oracle():
         e = SplitEngine(g, t, root=root)
         got = e.split_query()
         want = exhaustive_min_split(g, t, root, t.bags[root])
-        assert got == (want is not None)
+        assert got == (want and want.objective)
         if want is not None:
-            assert e.split_objective() == want.objective
             agree_true += 1
         else:
             agree_false += 1
@@ -286,9 +285,8 @@ def test_split_query_matches_oracle_two_way():
         e = SplitEngine(g, t, root=root, groups=2)
         got = e.split_query()
         want = exhaustive_min_split(g, t, root, t.bags[root], groups=2)
-        assert got == (want is not None)
+        assert got == (want and want.objective)
         if want is not None:
-            assert e.split_objective() == want.objective
             hits += 1
     assert hits >= 30
 
@@ -297,36 +295,38 @@ def test_state_query_requires_active_split():
     g = clique(3)
     t = TreeDecomposition([[0, 1, 2]], [], root=0)
     e = SplitEngine(g, t)
-    assert not e.split_query()
+    assert e.split_query() is None
     with pytest.raises(ContractViolation):
         e.state_query()
-    with pytest.raises(ContractViolation):
-        e.split_objective()
+
+
+def test_move_ends_split():
+    # a split must not outlive a move, or it could pass for a split of the
+    # new root: even the child read just before the move has no state after
+    rng = random.Random(916)
+    checked = 0
+    for _ in range(60):
+        g, t, root = small_instance(rng, nmax=8, fat_root=True)
+        e = SplitEngine(g, t, root=root)
+        if e.split_query() is None or not e.children[root]:
+            continue
+        child = e.children[root][0]
+        e.state_query(child)
+        e.move_to(child)
+        for i in (None, root, e.root):
+            with pytest.raises(ContractViolation):
+                e.state_query(i)
+        checked += 1
+    assert checked >= 10
 
 
 def test_state_query_path3_worked_example():
     g = path_graph(3)
     t = TreeDecomposition([[0, 1, 2]], [], root=0)
     e = SplitEngine(g, t)
-    assert e.split_query()
-    assert e.split_objective() == (1, 0)
+    assert e.split_query() == (1, 0)
     parts = e.state_query()
     assert parts == (frozenset({0}), frozenset({2}), frozenset(), frozenset({1}))
-
-
-def assemble_split(e):
-    """Visit every node, collect per-bag states, fuse into one split.
-
-    Returns the fused vertex -> group map and the per-node states."""
-    group = {}
-    states = {}
-    for i in list(e.bags):
-        e.move_to(i)
-        parts = states[i] = e.state_query()
-        for gi, part in enumerate(parts):
-            for v in part:
-                assert group.setdefault(v, gi) == gi
-    return group, states
 
 
 def test_propagated_states_form_valid_split():
@@ -335,18 +335,20 @@ def test_propagated_states_form_valid_split():
     for _ in range(120):
         g, t, root = small_instance(rng, nmax=8, fat_root=True)
         e = SplitEngine(g, t, root=root)
-        if not e.split_query():
+        objective = e.split_query()
+        if objective is None:
             continue
-        h, d = e.split_objective()
+        h, d = objective
         w = set(t.bags[root])
         # every node reads in place, with no move and no table built ...
         in_place = {i: e.state_query(i) for i in e.bags}
         assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
-        # ... and agrees with the states a walk to every node materializes
-        e = SplitEngine(g, t, root=root)
-        assert e.split_query()
-        group, states = assemble_split(e)
-        assert states == in_place
+        # ... and the restrictions fuse into one valid split of the root bag
+        group = {}
+        for parts in in_place.values():
+            for gi, part in enumerate(parts):
+                for v in part:
+                    assert group.setdefault(v, gi) == gi
         assert set(group) == set(range(g.n))
         cs = [frozenset(v for v, gi in group.items() if gi == j) for j in range(4)]
         assert len(cs[3]) == h
@@ -396,7 +398,7 @@ def test_edit_splits_path_bag():
     assert len(ids) == 4
     td, remap = e.export_decomposition()
     assert sorted(map(len, td.bags)) == [1, 1, 2, 2]
-    assert e.split_query() is False or max(len(b) for b in e.bags.values()) <= 2
+    assert e.split_query() is None or max(len(b) for b in e.bags.values()) <= 2
 
 
 def test_edit_rejections():

@@ -18,7 +18,12 @@ from twapx import (
     validate,
     width,
 )
-from twapx.improver import build_replacement, find_editable, potential
+from twapx.improver import (
+    _check_open_path,
+    build_replacement,
+    find_editable,
+    potential,
+)
 
 from gen import (
     clique,
@@ -53,6 +58,7 @@ def test_find_editable_path3_star_region():
         frozenset(),
         frozenset({1}),
     )
+    assert info.states[1] == (frozenset(),) * 4  # the border's empty bag
     assert info.borders == {1: 0}
     assert info.x_full == frozenset({1})
     assert e.root == 0
@@ -83,6 +89,19 @@ def test_find_editable_without_split_raises():
     assert not e.split_query()
     with pytest.raises(ContractViolation):
         find_editable(e)
+
+
+def test_check_open_path_rejects_broken_walks():
+    g = path_graph(4)
+    t = TreeDecomposition([[0, 1], [1, 2], [2, 3]], [(0, 1), (1, 2)], root=0)
+    e = SplitEngine(g, t, root=2)
+    _check_open_path(e, [0, 1, 2])  # the tree path down to the pointer
+    with pytest.raises(ContractViolation, match="does not end"):
+        _check_open_path(e, [0, 1])
+    with pytest.raises(ContractViolation, match="does not end"):
+        _check_open_path(e, [1, 2, 1, 2])
+    with pytest.raises(ContractViolation, match="not a tree edge"):
+        _check_open_path(e, [0, 2])
 
 
 def test_approximate_path3_k0():

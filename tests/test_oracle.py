@@ -86,6 +86,10 @@ def test_min_split_path3_single_bag():
     assert s.objective == (1, 0)
     assert s.x == frozenset({1})
     assert s.groups == (frozenset({0}), frozenset({2}), frozenset())
+    # a decomposition whose tree is not connected cannot be rooted
+    split_forest = TreeDecomposition([[0, 1], [1, 2]], [], root=0)
+    with pytest.raises(ValueError):
+        exhaustive_min_split(g, split_forest, 0, {0, 1})
 
 
 def test_min_split_triangle_none():
