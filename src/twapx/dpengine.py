@@ -13,11 +13,13 @@ table maps code -> {nsep: cost} where nsep counts separator vertices in the
 subtree of i and cost sums, over those vertices, the edge distance from their
 shallowest containing bag to i.
 
-Supported operations: re-root one edge at a time (recomputes two tables),
-query a minimum split of the root bag, read back per-node restrictions of the
-chosen split in place, and splice a replacement subtree over a region
-containing the root (recomputes only the new tables). A split stays active
-from the query until the next move or edit, which end it.
+Supported operations: re-root one edge at a time (two tables per step: the
+old root's is rebuilt from its remaining children, the new root's is one lift
+of the old root plus one join with the table it replaces), query a minimum
+split of the root bag, read back per-node restrictions of the chosen split in
+place, and splice a replacement subtree over a region containing the root
+(recomputes only the new tables). A split stays active from the query until
+the next move or edit, which end it.
 """
 
 from __future__ import annotations
@@ -122,6 +124,9 @@ class SplitEngine:
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, dict[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
+        # the lift of the old root into the new one, kept by the last _step
+        # as {(child, parent): lifted table} until the next step or edit
+        self._kept: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
         self._next_id = len(t.bags)
 
         self.tables_computed = 0
@@ -289,14 +294,16 @@ class SplitEngine:
         for bag i alone (the child checked the edges among shared vertices,
         the introduce step those at each new vertex) and has nsep at least
         its separator digit count, so joining the local table would return
-        the lifted table unchanged.
+        the lifted table unchanged. The lift kept by the last _step is taken
+        instead of re-lifting when its (child, parent) pair comes up.
         """
         bag = self.bag_list[i]
         kids = self.children[i]
         if not kids:
             return [self._introduce_all({0: {0: 0}}, [], bag)], []
         lows = _lows(bag)
-        lifts = [self._lift(c, i) for c in kids]
+        kept = self._kept
+        lifts = [kept[c, i] if (c, i) in kept else self._lift(c, i) for c in kids]
         accs = [lifts[0]]
         for lifted in lifts[1:]:
             accs.append(self._join(accs[-1], lifted, lows))
@@ -324,18 +331,33 @@ class SplitEngine:
             self._step(node)
 
     def _step(self, s: int) -> None:
+        """Re-root the edge (r, s) from the root r to its child s.
+
+        The table of r is rebuilt from its remaining children. The table of s
+        is the join of the table it replaces (already the join of its
+        children's lifts) with one fresh lift of r into s; a leaf s takes
+        that lift alone, as _chain skips the local table. The join is
+        associative and a row only gains separators as it joins, so the
+        content is what _chain(s) would build. The lift is kept for the next
+        _chain at s. Two tables are counted.
+        """
         r = self.root
         if self.parent[s] != r:
             raise ContractViolation(f"node {s} is not a child of the root")
-        # re-root the edge (r, s)
         self.children[r].remove(s)
         self.parent[r] = s
-        self.children[s].append(r)
-        self.children[s].sort()
+        self._compute_table(r)
+        lifted = self._lift(r, s)
+        kids = self.children[s]
+        self.table[s] = (
+            self._join(self.table[s], lifted, _lows(self.bag_list[s])) if kids else lifted
+        )
+        self._kept = {(r, s): lifted}
+        self.tables_computed += 1
+        kids.append(r)
+        kids.sort()
         self.parent[s] = None
         self.root = s
-        self._compute_table(r)
-        self._compute_table(s)
         self.moves += 1
 
     def _push_state(self, i: int) -> None:
@@ -523,6 +545,7 @@ class SplitEngine:
                 if not (0 <= v < self.g.n):
                     raise ContractViolation(f"replacement bag vertex {v} out of range")
 
+        self._kept = {}
         for i in removed:
             del self.bags[i]
             del self.bag_list[i]

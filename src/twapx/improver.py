@@ -438,6 +438,7 @@ def approximate(
         st.moves += engine.moves
         st.tables += engine.tables_computed
         exported, remap = engine.export_decomposition(skip=sentinel)
+        del engine  # free its tables before the next pass builds its own
         if bad is None:
             t = exported
             force_three = False

@@ -248,17 +248,33 @@ def test_move_walk_and_return_restores_tables():
         assert e.table == frozen
 
 
-def test_moved_tables_match_brute_force():
+@pytest.mark.parametrize("groups", [2, 3])
+def test_moved_tables_match_brute_force(groups):
     rng = random.Random(913)
+    steps = {True: 0, False: 0}
     for _ in range(12):
         g, t, root = small_instance(rng)
-        e = SplitEngine(g, t, root=root)
+        e = SplitEngine(g, t, root=root, groups=groups)
         nodes = list(e.bags)
-        for _ in range(8):
-            e.move_to(rng.choice(nodes))
+
+        def check_root():
             r = e.root
             for i in (r, *e.children[r]):
                 assert e.table[i] == brute_table(g, e, i)
+
+        for _ in range(8):
+            e.move_to(rng.choice(nodes))
+            check_root()
+            # one step into a leaf child, whose new table is the lift of the
+            # old root alone, then one into an inner child, whose new table
+            # joins that lift with the table it replaces
+            for leaf in (True, False):
+                kids = [c for c in e.children[e.root] if (not e.children[c]) == leaf]
+                if kids:
+                    e.move_to(rng.choice(kids))
+                    check_root()
+                    steps[leaf] += 1
+    assert min(steps.values()) >= 20
 
 
 def test_split_query_matches_oracle():
