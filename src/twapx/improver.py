@@ -1,11 +1,13 @@
 """Width reduction by repeated local splitting.
 
 One pass walks the decomposition depth-first from an added empty starting
-bag. Every maximum-size bag it reaches is either split (the editable region
-around it is rewritten into strictly smaller bags) or certifies, for bags of
-size >= 2k+3, that the treewidth exceeds k. The outer loop repeats passes,
-dropping the width by one each time, until the width reaches 2k+1 or a bag
-refuses to split.
+bag, stepping only into subtrees that still hold a maximum-size bag: the
+number of such bags per subtree is counted when the pass starts and carried
+over to the new nodes at each edit. Every maximum-size bag it reaches is
+either split (the editable region around it is rewritten into strictly
+smaller bags) or certifies, for bags of size >= 2k+3, that the treewidth
+exceeds k. The outer loop repeats passes, dropping the width by one each
+time, until the width reaches 2k+1 or a bag refuses to split.
 """
 
 from __future__ import annotations
@@ -228,6 +230,23 @@ def build_replacement(
     )
 
 
+def _count_big(
+    engine: SplitEngine, top: int, w: int, seen: set[int], big: dict[int, int]
+) -> dict[int, int]:
+    """Fill big[i], for top and every node below it that has no entry yet,
+    with the number of bags of size > w in the subtree of i that the walk
+    has still to reach; a seen child adds nothing, because the walk has
+    finished it. Returns big."""
+    order = [top]
+    for i in order:
+        order.extend(c for c in engine.children[i] if c not in big)
+    for i in reversed(order):
+        big[i] = (len(engine.bags[i]) > w) + sum(
+            big[c] for c in engine.children[i] if c not in seen
+        )
+    return big
+
+
 def _check_open_path(engine: SplitEngine, path: list[int]) -> None:
     """Check mode: the walk's open nodes, in the order opened, must be the
     tree path that ends at the pointer."""
@@ -238,6 +257,19 @@ def _check_open_path(engine: SplitEngine, path: list[int]) -> None:
     for a, b in zip(path, path[1:]):
         if engine.parent[a] != b:
             raise ContractViolation(f"walk step {a} -> {b} is not a tree edge")
+
+
+def _check_skipped(engine: SplitEngine, cur: int, w: int, seen: set[int]) -> None:
+    """Check mode: every child of the pointer cur that the walk leaves unseen
+    must head a subtree with no bag of size > w."""
+    stack = [c for c in engine.children[cur] if c not in seen]
+    while stack:
+        i = stack.pop()
+        if len(engine.bags[i]) > w:
+            raise ContractViolation(
+                f"walk skipped node {i} with a bag of size {len(engine.bags[i])} > {w}"
+            )
+        stack.extend(engine.children[i])
 
 
 def _check_assembled_split(
@@ -308,27 +340,34 @@ def reduce_width_pass(
 
     Returns None when every bag ends at size <= w (w = width at engine
     initialization), or the engine node id of a maximum bag that admits no
-    split. The walk starts at the empty sentinel bag; closing it means every
-    node was processed.
+    split. The walk starts at the empty sentinel bag and descends only into
+    unseen children whose subtree still holds a bag of size > w; closing the
+    sentinel means no such bag is left, which is checked.
     """
     w = engine.hmax
     g = engine.g
     engine.move_to(sentinel)
     path = [sentinel]  # the open nodes, sentinel first, ending at the pointer
     seen = {sentinel}
+    big = _count_big(engine, sentinel, w, seen, {})
     while True:
         if check:
             _check_open_path(engine, path)
         cur = engine.root
-        nxt = next((c for c in engine.children[cur] if c not in seen), None)
+        nxt = next(
+            (c for c in engine.children[cur] if c not in seen and big[c]), None
+        )
         if nxt is not None:
             seen.add(nxt)
             path.append(nxt)
             engine.move_to(nxt)
             continue
+        if check:
+            _check_skipped(engine, cur, w, seen)
         if cur == sentinel:
-            if check and not seen.issuperset(engine.bags):
-                raise ContractViolation("pass ended with unprocessed nodes")
+            left = sum(1 for b in engine.bags.values() if len(b) > w)
+            if left:
+                raise ContractViolation(f"pass ended with {left} bags of size > {w}")
             return None
         if len(engine.bags[cur]) <= w:
             path.pop()
@@ -378,6 +417,7 @@ def reduce_width_pass(
             if problems:
                 raise ContractViolation("edit broke the decomposition: " + problems[0])
         engine.move_to(q)
+        _count_big(engine, new_ids[plan.pointer], w, seen, big)
 
 
 def approximate(

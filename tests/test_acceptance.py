@@ -41,6 +41,7 @@ from twapx.treedec import decomposition_from_order
 from conftest import record
 from gen import (
     clique,
+    coarsen,
     cycle_graph,
     grid_graph,
     partial_ktree,
@@ -294,6 +295,31 @@ def test_criterion_6_scaling(corpus):
     assert ok, (times, f1, f2)
 
 
+def test_criterion_6b_engine_table_scaling():
+    # Criterion 6 never runs the engine and gates on wall time. Here a
+    # coarsened partial 2-tree (seed width 6) forces one splitting pass at
+    # k = 2, and the gate is on the table count, which no host load moves.
+    tables = {}
+    start = time.monotonic()
+    for n in (250, 500):
+        g, t = partial_ktree(random.Random(7), n, k=2)
+        st = RunStats()
+        r = approximate(g, 2, t0=coarsen(t, 7), stats=st)
+        assert isinstance(r, Decomposition), n
+        assert width(r.td) <= 5 and validate(g, r.td) == []
+        assert st.passes > 0 and st.splits > 0
+        tables[n] = st.tables
+    elapsed = time.monotonic() - start
+    f = tables[500] / tables[250]
+    ok = 1.5 <= f <= 2.5
+    record(
+        "criterion 6b (engine tables, coarsened partial 2-tree n=250->500): "
+        f"{'PASS' if ok else 'FAIL'} - {tables[250]} -> {tables[500]} tables, "
+        f"factor {f:.2f} (tolerance [1.5, 2.5]), {elapsed:.2f}s"
+    )
+    assert ok, tables
+
+
 def test_criterion_7_format_fidelity():
     rng = random.Random(CORPUS_SEED + 7)
     for _ in range(100):
@@ -346,8 +372,10 @@ def test_criterion_7_format_fidelity():
 
 def test_criterion_8_dfs_invariants(checked_runs):
     # Check mode verifies after every pass step that the open nodes form a
-    # root-anchored path and, at each pass end, that every node is closed;
-    # a violation raises. Passing runs with real pass counts prove it held.
+    # root-anchored path, and that every subtree the walk skips holds no
+    # maximum-size bag; every pass ends by checking that no maximum-size bag
+    # is left. A violation raises. Passing runs with real pass counts prove
+    # it held.
     passes = sum(st.passes for *_rest, st in checked_runs)
     moves = sum(st.moves for *_rest, st in checked_runs)
     assert passes >= 1000, f"only {passes} passes exercised"

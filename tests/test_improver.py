@@ -20,9 +20,11 @@ from twapx import (
 )
 from twapx.improver import (
     _check_open_path,
+    _check_skipped,
     build_replacement,
     find_editable,
     potential,
+    reduce_width_pass,
 )
 
 from gen import (
@@ -102,6 +104,76 @@ def test_check_open_path_rejects_broken_walks():
         _check_open_path(e, [1, 2, 1, 2])
     with pytest.raises(ContractViolation, match="not a tree edge"):
         _check_open_path(e, [0, 2])
+
+
+def test_check_skipped_rejects_big_bag_below_pointer():
+    g = path_graph(5)
+    t = TreeDecomposition([[0, 1], [1, 2], [2, 3, 4]], [(0, 1), (1, 2)], root=0)
+    e = SplitEngine(g, t, root=0)
+    _check_skipped(e, 0, 2, {0, 1})  # the only child is seen
+    _check_skipped(e, 0, 3, {0})  # no bag is larger than 3
+    with pytest.raises(ContractViolation, match="skipped node 2"):
+        _check_skipped(e, 0, 2, {0})  # the size-3 bag sits below child 1
+
+
+# name -> (path length, bags, tree edges, sentinel, every move_to target in
+#          order, splits, (moves, tables)). Each graph is a path and w = 2.
+PRUNED_WALKS = {
+    # Node 5 holds the only bag of size 3. The walk tree from the sentinel 7
+    # is 7 - 0 - {1 - 2 - 3, 4 - 5 - 6}: the branch below 1 and the child 6
+    # of the maximum bag hold no bag larger than w, and the walk enters none
+    # of them.
+    "one-branch": (
+        9,
+        [[3, 4], [2, 3], [1, 2], [0, 1], [4, 5], [5, 6, 7], [7, 8], []],
+        [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7)],
+        7,
+        [7, 0, 4, 5, 4, 0, 7],
+        1,
+        (6, 24),
+    ),
+    # The split at 1 rewrites its parent 0 (the same bag) too, so the unseen
+    # maximum bag 2 becomes a border of the edit; the new nodes above it
+    # carry its count, and the walk goes back down through them to split 2.
+    "border-taken-over": (
+        7,
+        [[2, 3, 4], [2, 3, 4], [4, 5, 6], [1, 2], [0, 1], []],
+        [(0, 1), (0, 2), (1, 3), (3, 4), (0, 5)],
+        5,
+        [5, 0, 1, 5, 7, 6, 12, 8, 9, 2, 9, 8, 12, 6, 7, 5],
+        2,
+        (15, 47),
+    ),
+    # The walk splits 2 and finishes its parent 1. The split at 3 then
+    # rewrites its parent 0 (the same bag) too, so 1 becomes a border of the
+    # edit; finished, it counts 0, and the walk does not head back toward it.
+    "finished-border": (
+        6,
+        [[3, 4, 5], [2, 3], [0, 1, 2], [3, 4, 5], []],
+        [(0, 1), (1, 2), (0, 3), (0, 4)],
+        4,
+        [4, 0, 1, 2, 1, 0, 3, 4],
+        2,
+        (7, 30),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("name", sorted(PRUNED_WALKS))
+def test_pass_walks_only_toward_maximum_bags(monkeypatch, name, check):
+    n, bags, edges, sentinel, want, splits, counts = PRUNED_WALKS[name]
+    t = TreeDecomposition(bags, edges, root=sentinel)
+    e = SplitEngine(path_graph(n), t, root=sentinel)
+    visited = []
+    move_to = e.move_to
+    monkeypatch.setattr(e, "move_to", lambda i: (visited.append(i), move_to(i)))
+    stats = RunStats()
+    assert reduce_width_pass(e, sentinel, check=check, stats=stats) is None
+    assert stats.splits == splits
+    assert max(len(b) for b in e.bags.values()) == 2
+    assert visited == want
+    assert (e.moves, e.tables_computed) == counts
 
 
 def test_approximate_path3_k0():
