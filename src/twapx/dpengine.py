@@ -17,9 +17,10 @@ Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is one lift
 of the old root plus one join with the table it replaces), query a minimum
 split of the root bag, read back per-node restrictions of the chosen split in
-place, and splice a replacement subtree over a region containing the root
-(recomputes only the new tables). A split stays active from the query until
-the next move or edit, which end it.
+place (one scan of each child table, building no table), and splice a
+replacement subtree over a region containing the root (recomputes only the new
+tables). A split stays active from the query until the next move or edit,
+which end it.
 """
 
 from __future__ import annotations
@@ -281,14 +282,10 @@ class SplitEngine:
                 out[code] = slot
         return out
 
-    def _chain(
-        self, i: int
-    ) -> tuple[list[dict[int, dict[int, int]]], list[dict[int, dict[int, int]]]]:
-        """Forward accumulation at node i.
+    def _compute_table(self, i: int) -> None:
+        """Table of i: the join of its children's lifts, in child order.
 
-        Returns (accs, lifts) where lifts[j] is the lifted table of child j
-        and accs[j] the join of lifts[0..j]; accs[-1] is the table of i. A
-        leaf's chain is its local table: every assignment of bag i alone
+        A leaf's table is its local table: every assignment of bag i alone
         without an internal edge joining two distinct groups, at cost 0.
         Inner nodes skip the local table: every lifted code is already valid
         for bag i alone (the child checked the edges among shared vertices,
@@ -298,19 +295,14 @@ class SplitEngine:
         instead of re-lifting when its (child, parent) pair comes up.
         """
         bag = self.bag_list[i]
-        kids = self.children[i]
-        if not kids:
-            return [self._introduce_all({0: {0: 0}}, [], bag)], []
         lows = _lows(bag)
-        kept = self._kept
-        lifts = [kept[c, i] if (c, i) in kept else self._lift(c, i) for c in kids]
-        accs = [lifts[0]]
-        for lifted in lifts[1:]:
-            accs.append(self._join(accs[-1], lifted, lows))
-        return accs, lifts
-
-    def _compute_table(self, i: int) -> None:
-        self.table[i] = self._chain(i)[0][-1]
+        tab = None
+        for c in self.children[i]:
+            lifted = self._kept[c, i] if (c, i) in self._kept else self._lift(c, i)
+            tab = lifted if tab is None else self._join(tab, lifted, lows)
+        if tab is None:
+            tab = self._introduce_all({0: {0: 0}}, [], bag)
+        self.table[i] = tab
         self.tables_computed += 1
 
     # ------------------------------------------------------------------ moves
@@ -336,10 +328,10 @@ class SplitEngine:
         The table of r is rebuilt from its remaining children. The table of s
         is the join of the table it replaces (already the join of its
         children's lifts) with one fresh lift of r into s; a leaf s takes
-        that lift alone, as _chain skips the local table. The join is
-        associative and a row only gains separators as it joins, so the
-        content is what _chain(s) would build. The lift is kept for the next
-        _chain at s. Two tables are counted.
+        that lift alone, as _compute_table skips the local table. The join
+        is associative and a row only gains separators as it joins, so the
+        content is what _compute_table(s) would build. The lift is kept for
+        the next _compute_table at s. Two tables are counted.
         """
         r = self.root
         if self.parent[s] != r:
@@ -361,60 +353,48 @@ class SplitEngine:
         self.moves += 1
 
     def _push_state(self, i: int) -> None:
-        """Materialize split restrictions on the children of i by inverting
-        the forward chain, when i has a current state and some child lacks one."""
+        """Read the split's restrictions to the children of i back from their
+        tables, when i has a state (code, h, d) and some child lacks one.
+
+        Each child table is scanned once for the entries that project onto
+        code, re-anchored as _lift does, and the child takes the one of least
+        nsep, then least cost, then smallest child code. No other choice
+        joins to (h, d): every state has the least nsep of its code (the
+        test in split_query holds at a smaller h too, and each child passes
+        its own least nsep on), and as nsep adds up over a join, the least h
+        of code at i comes only from each child's least nsep. The final check
+        guards that invariant. Builds no table.
+        """
         if i not in self.state:
             return
         kids = self.children[i]
         if all(c in self.state for c in kids):
             return
         code, h, d = self.state[i]
-        accs, lifts = self._chain(i)
-        xcnt = (code & (code >> 1) & _lows(self.bag_list[i])).bit_count()
-        for j in range(len(kids) - 1, 0, -1):
-            acc_row = accs[j - 1].get(code, {})
-            hs2 = lifts[j].get(code, {})
-            for h1 in sorted(acc_row):
-                h2 = h + xcnt - h1
-                if h2 in hs2 and acc_row[h1] + hs2[h2] == d:
-                    break
-            else:
-                raise ContractViolation(
-                    f"cannot invert join at node {i} for child {kids[j]}"
-                )
-            self._invert_lift(kids[j], i, code, h2, hs2[h2])
-            h, d = h1, acc_row[h1]
-        # accs[0] is lifts[0] itself: what remains is its entry
-        if lifts[0].get(code, {}).get(h) != d:
-            raise ContractViolation(f"cannot invert join at node {i} for child {kids[0]}")
-        self._invert_lift(kids[0], i, code, h, d)
-
-    def _invert_lift(self, child: int, i: int, code: int, h: int, d: int) -> None:
-        """Recover the child's own table entry from a lifted entry and record
-        it as the child's state."""
-        pset = self.bags[i]
-        pbag = self.bag_list[i]
-        cset = self.bags[child]
-        # undo introduces: strip digits of vertices of bag i absent from child
-        intro = _lows(pbag) ^ _lows(pbag, cset)
-        ch = h - (code & (code >> 1) & intro).bit_count()
-        ccode = _pack(code, _keep_runs(pbag, cset))
-        # ccode ranges over bag(child) ∩ bag(i); undo the re-anchor and forget
-        # by scanning the child table, in code order, for the first full
-        # assignment with that projection whose re-anchored entry matches
-        cbag = self.bag_list[child]
-        runs = _keep_runs(cbag, pset)
-        shared = _lows(cbag, pset)
-        ctab = self.table[child]
-        for full in sorted(ctab):
-            if _pack(full, runs) != ccode:
-                continue
-            d_child = ctab[full].get(ch)
-            xin = (full & (full >> 1) & shared).bit_count()
-            if d_child is not None and d_child + ch - xin == d:
-                self.state[child] = (full, ch, d_child)
-                return
-        raise ContractViolation(f"cannot invert lift for child {child}")
+        pset, pbag = self.bags[i], self.bag_list[i]
+        lows = _lows(pbag)
+        seps = code & (code >> 1)
+        got_h, got_d = (seps & lows).bit_count() * (1 - len(kids)), 0
+        for c in kids:
+            cbag = self.bag_list[c]
+            intro = (seps & (lows ^ _lows(pbag, self.bags[c]))).bit_count()
+            ccode = _pack(code, _keep_runs(pbag, self.bags[c]))
+            runs, shared = _keep_runs(cbag, pset), _lows(cbag, pset)
+            best = None
+            for full, hs in self.table[c].items():
+                if _pack(full, runs) != ccode:
+                    continue
+                ch = min(hs)
+                xin = (full & (full >> 1) & shared).bit_count()
+                cand = (ch, hs[ch] + ch - xin, full)
+                if best is None or cand < best:
+                    best = cand
+            ch, cost, full = best
+            self.state[c] = (full, ch, self.table[c][full][ch])
+            got_h += ch + intro
+            got_d += cost
+        if (got_h, got_d) != (h, d):
+            raise ContractViolation(f"cannot read back the split at node {i}")
 
     # ---------------------------------------------------------------- queries
 
@@ -455,8 +435,9 @@ class SplitEngine:
 
         A split is active from a successful split_query until the next move
         or edit, and any node can be read meanwhile: the states on the path
-        down from the nearest ancestor of i that has one are materialized by
-        inverting forward chains, which computes no table.
+        down from the nearest ancestor of i that has one are read back with
+        one scan of each child's table (see _push_state), which builds no
+        table.
         """
         if i is None:
             i = self.root

@@ -36,7 +36,7 @@ from twapx import (
     validate,
     width,
 )
-from twapx.treedec import decomposition_from_order
+from twapx.treedec import decomposition_from_order, initial_decomposition
 
 from conftest import record
 from gen import (
@@ -318,6 +318,41 @@ def test_criterion_6b_engine_table_scaling():
         f"factor {f:.2f} (tolerance [1.5, 2.5]), {elapsed:.2f}s"
     )
     assert ok, tables
+
+
+def test_criterion_6c_known_treewidth_beyond_oracle():
+    # Instances of known treewidth far past the oracle's n <= 12, each of
+    # which runs splitting passes: full k-trees (tw = k) coarsened to bags
+    # of 2k+3, and p x q grids (tw = min(p, q)) from a coarsened min-degree
+    # seed. At k >= tw the result must be a Decomposition; at k < tw a
+    # LowerBound is also sound, if its bag has >= 2k+3 vertices.
+    cases = []
+    for k, n in ((1, 300), (2, 300), (3, 120)):
+        g, t = partial_ktree(random.Random(7), n, k=k, keep=1.0)
+        cases.append((f"{k}-tree n={n}", g, k, k, coarsen(t, 2 * k + 3)))
+    for p, q, k, cap in ((3, 30, 3, 9), (4, 20, 1, 5)):
+        g = grid_graph(p, q)
+        seed = coarsen(initial_decomposition(g), cap)
+        cases.append((f"grid {p}x{q}", g, min(p, q), k, seed))
+    lines = []
+    for name, g, tw, k, seed in cases:
+        st = RunStats()
+        start = time.monotonic()
+        r = approximate(g, k, t0=seed, stats=st)
+        elapsed = time.monotonic() - start
+        assert st.passes > 0, name
+        if k >= tw:
+            assert isinstance(r, Decomposition) and st.splits > 0, name
+        if isinstance(r, LowerBound):
+            assert len(r.bag) >= 2 * k + 3 and validate(g, r.td) == [], name
+            got = f"LowerBound bag {len(r.bag)}"
+        else:
+            assert width(r.td) <= 2 * k + 1 and validate(g, r.td) == [], name
+            got = f"width {width(r.td)}"
+        lines.append(f"{name} k={k}: {got}, {st.splits} splits, {elapsed:.2f}s")
+    record(
+        "criterion 6c (known treewidth beyond the oracle): PASS - " + "; ".join(lines)
+    )
 
 
 def test_criterion_7_format_fidelity():

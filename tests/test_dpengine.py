@@ -345,32 +345,50 @@ def test_state_query_path3_worked_example():
     assert parts == (frozenset({0}), frozenset({2}), frozenset(), frozenset({1}))
 
 
-def test_propagated_states_form_valid_split():
+def _no_kernel(*_args):
+    raise AssertionError("a table kernel ran during read-back")
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_propagated_states_form_valid_split(groups):
     rng = random.Random(916)
-    checked = 0
-    for _ in range(120):
-        g, t, root = small_instance(rng, nmax=8, fat_root=True)
-        e = SplitEngine(g, t, root=root)
-        objective = e.split_query()
-        if objective is None:
-            continue
-        h, d = objective
-        w = set(t.bags[root])
-        # every node reads in place, with no move and no table built ...
-        in_place = {i: e.state_query(i) for i in e.bags}
-        assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
-        # ... and the restrictions fuse into one valid split of the root bag
-        group = {}
-        for parts in in_place.values():
-            for gi, part in enumerate(parts):
-                for v in part:
-                    assert group.setdefault(v, gi) == gi
-        assert set(group) == set(range(g.n))
-        cs = [frozenset(v for v, gi in group.items() if gi == j) for j in range(4)]
-        assert len(cs[3]) == h
-        assert is_valid_split(g, w, cs[0], cs[1], cs[2], cs[3])
-        checked += 1
-    assert checked >= 30
+    checked = three_way_roots = 0
+    for _ in range(200):
+        g, t, fat = small_instance(rng, nmax=8, fat_root=True)
+        # the largest bag, and the largest with three neighbours, so that
+        # reads also push through split roots with three children
+        adj = t.adjacency()
+        forks = [i for i in range(len(t.bags)) if len(adj[i]) == 3]
+        roots = {fat, max(forks, key=lambda i: (len(t.bags[i]), -i))} if forks else {fat}
+        for root in sorted(roots):
+            e = SplitEngine(g, t, root=root, groups=groups)
+            objective = e.split_query()
+            if objective is None:
+                continue
+            h, d = objective
+            w = set(t.bags[root])
+            # every node reads in place, with no move and no table kernel run ...
+            e._lift = e._join = e._introduce_all = _no_kernel
+            in_place = {i: e.state_query(i) for i in e.bags}
+            assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
+            # ... every state read back is an entry of its node's table, at
+            # the least separator count of its code ...
+            assert set(e.state) == set(e.bags)
+            for i, (c, hi, di) in e.state.items():
+                assert e.table[i][c][hi] == di and hi == min(e.table[i][c])
+            # ... and the restrictions fuse into one valid split of the root bag
+            group = {}
+            for parts in in_place.values():
+                for gi, part in enumerate(parts):
+                    for v in part:
+                        assert group.setdefault(v, gi) == gi
+            assert set(group) == set(range(g.n))
+            cs = [frozenset(v for v, gi in group.items() if gi == j) for j in range(4)]
+            assert len(cs[3]) == h
+            assert is_valid_split(g, w, cs[0], cs[1], cs[2], cs[3])
+            checked += 1
+            three_way_roots += len(e.children[root]) == 3
+    assert checked >= 30 and three_way_roots >= 10, (checked, three_way_roots)
 
 
 def test_edit_identity_round_trip():
