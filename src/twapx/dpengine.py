@@ -11,7 +11,10 @@ the only digit with both bits set, (code & (code >> 1) & lows).bit_count()
 counts the separator digits at the positions whose low bits lows holds. A
 table maps code -> {nsep: cost} where nsep counts separator vertices in the
 subtree of i and cost sums, over those vertices, the edge distance from their
-shallowest containing bag to i.
+shallowest containing bag to i. Rows keep nsep <= hmax, the largest bag size
+minus one or the engine's cap, whichever is smaller; nsep never falls along a
+lift or a join, so a capped table is the uncapped one with its rows of
+nsep > cap dropped.
 
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is one lift
@@ -20,7 +23,9 @@ split of the root bag, read back per-node restrictions of the chosen split in
 place (one scan of each child table, building no table), and splice a
 replacement subtree over a region containing the root (recomputes only the new
 tables). A split stays active from the query until the next move or edit,
-which end it.
+which end it. Between passes, next_pass drops the empty start leaf at the
+root, narrows hmax to the new width and hangs a new start leaf, so one engine
+serves consecutive passes with the same number of groups.
 """
 
 from __future__ import annotations
@@ -99,9 +104,12 @@ class SplitEngine:
         t: TreeDecomposition,
         root: int | None = None,
         groups: int = 3,
+        cap: int | None = None,
     ):
         if groups not in (2, 3):
             raise ContractViolation("groups must be 2 or 3")
+        if cap is not None and cap < 0:
+            raise ContractViolation(f"cap must be nonnegative, got {cap}")
         problems = validate(g, t)
         if problems:
             raise ContractViolation("invalid decomposition: " + problems[0])
@@ -111,9 +119,8 @@ class SplitEngine:
                 raise ContractViolation(f"node {i} has degree {len(nb)} > 3")
         self.g = g
         self.groups = groups
-        self.hmax = max((len(b) for b in t.bags), default=1) - 1
-        if self.hmax < 0:
-            self.hmax = 0
+        self.cap = cap
+        self._set_width(max((len(b) for b in t.bags), default=1) - 1)
 
         r = root if root is not None else (t.root if t.root is not None else 0)
         if not (0 <= r < len(t.bags)):
@@ -137,6 +144,12 @@ class SplitEngine:
             self.bags[i] = frozenset(bag)
             self.bag_list[i] = list(bag)
         self._orient(dict(enumerate(adj)), r)
+
+    def _set_width(self, width: int) -> None:
+        """Record the largest bag size minus one as width, and let hmax be
+        width or cap, whichever is smaller."""
+        self.width = max(width, 0)
+        self.hmax = self.width if self.cap is None else min(self.width, self.cap)
 
     def _orient(self, adj: dict[int, list[int]], root: int) -> None:
         """Root the nodes of adj at root, breadth-first: every neighbour not
@@ -548,6 +561,62 @@ class SplitEngine:
         self._orient(adj_new, ids[plan.pointer])
         self.state = {}
         return ids
+
+    # ----------------------------------------------------------------- passes
+
+    def next_pass(self) -> None:
+        """Ready the engine for the next pass without rebuilding it.
+
+        The root must be the empty start leaf of the pass just ended, with
+        one child. It is dropped, hmax narrows to the new width (rows of
+        h > hmax are dropped, which is exact, see the module docstring), the
+        pointer moves to the smallest node id of degree <= 2 and a new empty
+        leaf, id _next_id with the constant table {0: {0: 0}}, is hung there
+        and moved to. An empty-bag child's lift is its parent's local table,
+        which leaves the parent's table unchanged, so every table is what a
+        new engine over the same nodes, rooted at that leaf, would build.
+        The counters restart, as for a new engine, and count the two moves
+        and their tables.
+        """
+        r = self.root
+        if self.bags[r] or len(self.children[r]) != 1:
+            raise ContractViolation(f"root {r} is not an empty leaf")
+        width = max(len(b) for b in self.bag_list.values()) - 1
+        if width > self.width:
+            # the tables have dropped the rows a wider pass would need
+            raise ContractViolation(f"width grew from {self.width} to {width}")
+        self.tables_computed = self.moves = 0
+        top = self.children[r][0]
+        for part in (self.bags, self.bag_list, self.table, self.parent, self.children):
+            del part[r]
+        self.parent[top] = None
+        self.root = top
+        self._kept = {}
+        hmax = self.hmax
+        self._set_width(width)
+        if self.hmax < hmax:
+            keep = self.hmax
+            for i, tab in self.table.items():
+                narrowed = {}
+                for code, hs in tab.items():
+                    row = {h: d for h, d in hs.items() if h <= keep}
+                    if row:
+                        narrowed[code] = row
+                self.table[i] = narrowed
+        attach = min(
+            i for i, p in self.parent.items()
+            if len(self.children[i]) + (p is not None) <= 2
+        )
+        self.move_to(attach)
+        leaf = self._next_id
+        self._next_id += 1
+        self.bags[leaf] = frozenset()
+        self.bag_list[leaf] = []
+        self.parent[leaf] = attach
+        self.children[leaf] = []
+        self.children[attach].append(leaf)  # the largest id: stays sorted
+        self.table[leaf] = {0: {0: 0}}
+        self.move_to(leaf)
 
     # ------------------------------------------------------------------ export
 

@@ -7,7 +7,11 @@ over to the new nodes at each edit. Every maximum-size bag it reaches is
 either split (the editable region around it is rewritten into strictly
 smaller bags) or certifies, for bags of size >= 2k+3, that the treewidth
 exceeds k. The outer loop repeats passes, dropping the width by one each
-time, until the width reaches 2k+1 or a bag refuses to split.
+time, until the width reaches 2k+1 or a bag refuses to split. The tables keep
+separators of at most k+1 vertices, which every such bag has when tw <= k; a
+capped pass that meets a bag with no split is redone uncapped, so a
+certificate always comes from uncapped three-way tables. One engine serves
+consecutive passes while the number of groups stays the same.
 """
 
 from __future__ import annotations
@@ -313,7 +317,8 @@ def _check_against_oracle(
     engine: SplitEngine, cur: int, objective: tuple[int, int] | None
 ) -> None:
     """Check mode, small graphs only: the engine's split objective at the
-    root cur (None: no split) must match the exhaustive oracle's."""
+    root cur (None: no split) must match the exhaustive oracle's, or be None
+    when the oracle's separator is larger than the engine's hmax."""
     g = engine.g
     if g.n > ORACLE_CHECK_MAX_N:
         return
@@ -323,7 +328,7 @@ def _check_against_oracle(
     ref = exhaustive_min_split(
         g, exported, remap[cur], engine.bags[cur], groups=engine.groups
     )
-    want = None if ref is None else ref.objective
+    want = None if ref is None or ref.objective[0] > engine.hmax else ref.objective
     if want != objective:
         raise ContractViolation(
             f"engine split objective {objective} disagrees with oracle {want}"
@@ -338,13 +343,14 @@ def reduce_width_pass(
 ) -> int | None:
     """One depth-first width-reduction pass.
 
-    Returns None when every bag ends at size <= w (w = width at engine
-    initialization), or the engine node id of a maximum bag that admits no
-    split. The walk starts at the empty sentinel bag and descends only into
-    unseen children whose subtree still holds a bag of size > w; closing the
-    sentinel means no such bag is left, which is checked.
+    Returns None when every bag ends at size <= w (w = engine.width, the
+    largest bag size minus one when the pass starts), or the engine node id
+    of a maximum bag that admits no split with at most engine.hmax separator
+    vertices. The walk starts at the empty sentinel bag and descends only
+    into unseen children whose subtree still holds a bag of size > w;
+    closing the sentinel means no such bag is left, which is checked.
     """
-    w = engine.hmax
+    w = engine.width
     g = engine.g
     engine.move_to(sentinel)
     path = [sentinel]  # the open nodes, sentinel first, ending at the pointer
@@ -420,6 +426,20 @@ def reduce_width_pass(
         _count_big(engine, new_ids[plan.pointer], w, seen, big)
 
 
+def _with_sentinel(t: TreeDecomposition) -> TreeDecomposition:
+    """The start of a pass: t with degree <= 3, plus an empty leaf, the root,
+    hung at the smallest node id of degree <= 2 (SplitEngine.next_pass hangs
+    it at the same node)."""
+    t = normalize_degree3(t)
+    attach = min(i for i, nb in enumerate(t.adjacency()) if len(nb) <= 2)
+    sentinel = len(t.bags)
+    return TreeDecomposition(
+        [list(b) for b in t.bags] + [[]],
+        list(t.edges) + [(attach, sentinel)],
+        root=sentinel,
+    )
+
+
 def approximate(
     g: Graph,
     k: int,
@@ -432,11 +452,16 @@ def approximate(
     """Decomposition of width <= 2k+1, or a certificate that treewidth > k.
 
     Starts from t0 (validated) or a heuristic decomposition, then runs
-    width-reduction passes while the width is at least 2k+2. Each pass
-    re-initializes the engine; two-way tables are used when allowed by
-    two_way and the current maximum bag size (>= 3k+4 for "auto"). A failed
-    two-way pass is retried three-way before a lower bound is reported, so
-    certificates always come from unrestricted splits.
+    width-reduction passes while the width is at least 2k+2. Two-way tables
+    are used when allowed by two_way and the current maximum bag size
+    (>= 3k+4 for "auto"). The tables keep separators of at most k+1
+    vertices, enough for every bag of size >= 2k+3 when tw <= k; a capped
+    pass that finds a bag with no split is redone uncapped from the same
+    input, and the run stays uncapped. A failed uncapped two-way pass is
+    retried three-way, so certificates always come from unrestricted
+    splits. One engine serves consecutive passes with the same groups
+    (SplitEngine.next_pass), and the decomposition is still validated
+    before every pass.
     """
     start = time.monotonic()
     if k < 0:
@@ -453,16 +478,9 @@ def approximate(
             raise ValueError("starting decomposition invalid: " + problems[0])
         t = t0
     force_three = False
+    cap: int | None = k + 1
+    engine: SplitEngine | None = None
     while width(t) >= 2 * k + 2:
-        t = normalize_degree3(t)
-        deg = [len(a) for a in t.adjacency()]
-        attach_at = min(i for i, d in enumerate(deg) if d <= 2)
-        sentinel = len(t.bags)
-        seeded = TreeDecomposition(
-            [list(b) for b in t.bags] + [[]],
-            list(t.edges) + [(attach_at, sentinel)],
-            root=sentinel,
-        )
         maxbag = width(t) + 1
         if force_three or two_way == "off":
             groups = 3
@@ -470,7 +488,15 @@ def approximate(
             groups = 2
         else:
             groups = 2 if maxbag >= 3 * k + 4 else 3
-        engine = SplitEngine(g, seeded, root=sentinel, groups=groups)
+        if engine is not None and engine.groups == groups:
+            problems = validate(g, t)
+            if problems:
+                raise ContractViolation("invalid decomposition: " + problems[0])
+            engine.next_pass()
+        else:
+            engine = None  # free the old tables before the new ones are built
+            engine = SplitEngine(g, _with_sentinel(t), groups=groups, cap=cap)
+        sentinel = engine.root
         bad = reduce_width_pass(engine, sentinel, check=check, stats=st)
         st.passes += 1
         if groups == 2:
@@ -478,10 +504,15 @@ def approximate(
         st.moves += engine.moves
         st.tables += engine.tables_computed
         exported, remap = engine.export_decomposition(skip=sentinel)
-        del engine  # free its tables before the next pass builds its own
         if bad is None:
             t = exported
             force_three = False
+            continue
+        engine = None
+        if cap is not None:
+            # a split may need more than k+1 separator vertices when tw > k:
+            # redo the pass uncapped from the same input
+            cap = None
             continue
         if groups == 2:
             # two-way splittability is only guaranteed for larger bags; retry

@@ -301,7 +301,7 @@ def test_criterion_6b_engine_table_scaling():
     # k = 2, and the gate is on the table count, which no host load moves.
     tables = {}
     start = time.monotonic()
-    for n in (250, 500):
+    for n in (250, 500, 1000):
         g, t = partial_ktree(random.Random(7), n, k=2)
         st = RunStats()
         r = approximate(g, 2, t0=coarsen(t, 7), stats=st)
@@ -310,12 +310,14 @@ def test_criterion_6b_engine_table_scaling():
         assert st.passes > 0 and st.splits > 0
         tables[n] = st.tables
     elapsed = time.monotonic() - start
-    f = tables[500] / tables[250]
-    ok = 1.5 <= f <= 2.5
+    f1 = tables[500] / tables[250]
+    f2 = tables[1000] / tables[500]
+    ok = 1.5 <= f1 <= 2.5 and 1.5 <= f2 <= 2.5
     record(
-        "criterion 6b (engine tables, coarsened partial 2-tree n=250->500): "
-        f"{'PASS' if ok else 'FAIL'} - {tables[250]} -> {tables[500]} tables, "
-        f"factor {f:.2f} (tolerance [1.5, 2.5]), {elapsed:.2f}s"
+        "criterion 6b (engine tables, coarsened partial 2-tree n=250->500->1000): "
+        f"{'PASS' if ok else 'FAIL'} - {tables[250]} -> {tables[500]} -> "
+        f"{tables[1000]} tables, factors {f1:.2f}, {f2:.2f} "
+        f"(tolerance [1.5, 2.5]), {elapsed:.2f}s"
     )
     assert ok, tables
 

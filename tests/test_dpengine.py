@@ -100,6 +100,15 @@ def small_instance(rng, nmax=6, extra=None, fat_root=False):
     return g, t, root
 
 
+def split_roots(t, root):
+    """root, and the largest bag with three neighbours, so that queries and
+    reads also combine three lifted tables at the split root."""
+    forks = [i for i, nb in enumerate(t.adjacency()) if len(nb) == 3]
+    if not forks:
+        return [root]
+    return sorted({root, max(forks, key=lambda i: (len(t.bags[i]), -i))})
+
+
 def test_init_single_vertex_h_cap():
     g = Graph(1)
     t = TreeDecomposition([[0]], [], root=0)
@@ -142,11 +151,14 @@ def test_encode_decode_round_trip():
 
 def test_two_way_encoding_never_uses_group_2():
     rng = random.Random(918)
-    for _ in range(25):
-        g, t, root = small_instance(rng, nmax=9, fat_root=True)
-        e = SplitEngine(g, t, root=root, groups=2)
-        if e.split_query():
-            assert e.state_query()[2] == frozenset()
+    three_way_roots = 0
+    for _ in range(150):
+        g, t, fat = small_instance(rng, nmax=9, fat_root=True)
+        for root in split_roots(t, fat):
+            e = SplitEngine(g, t, root=root, groups=2)
+            if e.split_query():
+                assert all(e.state_query(i)[2] == frozenset() for i in e.bags)
+                three_way_roots += len(e.children[root]) == 3
         nodes = list(e.bags)
         for _ in range(4):
             e.move_to(rng.choice(nodes))
@@ -168,6 +180,7 @@ def test_two_way_encoding_never_uses_group_2():
             assert v in parts[assign[v]]
         back = {v: digit for digit, part in enumerate(parts) for v in part}
         assert e.encode(bag, back) == code
+    assert three_way_roots >= 8, three_way_roots
 
 
 def test_tables_match_brute_force():
@@ -215,6 +228,8 @@ def test_init_rejects_bad_input():
         SplitEngine(g, t, root=7)
     with pytest.raises(ContractViolation):
         SplitEngine(g, t, groups=4)
+    with pytest.raises(ContractViolation):
+        SplitEngine(g, t, cap=-1)
 
 
 def test_move_recomputes_exactly_two_tables():
@@ -279,32 +294,67 @@ def test_moved_tables_match_brute_force(groups):
 
 def test_split_query_matches_oracle():
     rng = random.Random(914)
-    agree_true = agree_false = 0
+    agree_true = agree_false = three_way_roots = 0
     for _ in range(300):
-        g, t, root = small_instance(rng, nmax=9)
-        e = SplitEngine(g, t, root=root)
-        got = e.split_query()
-        want = exhaustive_min_split(g, t, root, t.bags[root])
-        assert got == (want and want.objective)
-        if want is not None:
-            agree_true += 1
-        else:
-            agree_false += 1
-    assert agree_true >= 30 and agree_false >= 30
+        g, t, fat = small_instance(rng, nmax=9)
+        for root in split_roots(t, fat):
+            e = SplitEngine(g, t, root=root)
+            got = e.split_query()
+            want = exhaustive_min_split(g, t, root, t.bags[root])
+            assert got == (want and want.objective)
+            if want is not None:
+                agree_true += 1
+                three_way_roots += len(e.children[root]) == 3
+            else:
+                agree_false += 1
+    assert agree_true >= 30 and agree_false >= 30 and three_way_roots >= 20, (
+        agree_true, agree_false, three_way_roots)
 
 
 def test_split_query_matches_oracle_two_way():
     rng = random.Random(915)
-    hits = 0
+    hits = three_way_roots = 0
     for _ in range(150):
-        g, t, root = small_instance(rng, nmax=9, fat_root=True)
-        e = SplitEngine(g, t, root=root, groups=2)
-        got = e.split_query()
-        want = exhaustive_min_split(g, t, root, t.bags[root], groups=2)
-        assert got == (want and want.objective)
-        if want is not None:
-            hits += 1
-    assert hits >= 30
+        g, t, fat = small_instance(rng, nmax=9, fat_root=True)
+        for root in split_roots(t, fat):
+            e = SplitEngine(g, t, root=root, groups=2)
+            got = e.split_query()
+            want = exhaustive_min_split(g, t, root, t.bags[root], groups=2)
+            assert got == (want and want.objective)
+            if want is not None:
+                hits += 1
+                three_way_roots += len(e.children[root]) == 3
+    assert hits >= 30 and three_way_roots >= 12, (hits, three_way_roots)
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_capped_tables_are_filtered_tables(groups):
+    # a table built under cap c is the uncapped one with its rows of h > c
+    # dropped, and the query finds the uncapped minimum split exactly when
+    # its separator fits under the cap
+    rng = random.Random(919)
+    found = {True: 0, False: 0}
+    three_way_roots = 0
+    for _ in range(150):
+        g, t, fat = small_instance(rng, extra=2, fat_root=True)
+        for root in split_roots(t, fat):
+            full = SplitEngine(g, t, root=root, groups=groups)
+            brute = {i: brute_table(g, full, i) for i in full.bags}
+            want = full.split_query()
+            if want is not None:
+                three_way_roots += len(full.children[root]) == 3
+            for cap in range(3):
+                e = SplitEngine(g, t, root=root, groups=groups, cap=cap)
+                assert (e.width, e.hmax) == (full.width, min(full.width, cap))
+                for i, tab in brute.items():
+                    rows = {c: {h: d for h, d in hs.items() if h <= cap} for c, hs in tab.items()}
+                    assert e.table[i] == {c: row for c, row in rows.items() if row}
+                fits = want is not None and want[0] <= cap
+                assert e.split_query() == (want if fits else None)
+                if want is not None:
+                    found[fits] += 1
+    assert min(found.values()) >= 40 and three_way_roots >= 5, (
+        found, three_way_roots)
 
 
 def test_state_query_requires_active_split():
@@ -320,20 +370,22 @@ def test_move_ends_split():
     # a split must not outlive a move, or it could pass for a split of the
     # new root: even the child read just before the move has no state after
     rng = random.Random(916)
-    checked = 0
-    for _ in range(60):
-        g, t, root = small_instance(rng, nmax=8, fat_root=True)
-        e = SplitEngine(g, t, root=root)
-        if e.split_query() is None or not e.children[root]:
-            continue
-        child = e.children[root][0]
-        e.state_query(child)
-        e.move_to(child)
-        for i in (None, root, e.root):
-            with pytest.raises(ContractViolation):
-                e.state_query(i)
-        checked += 1
-    assert checked >= 10
+    checked = three_way_roots = 0
+    for _ in range(200):
+        g, t, fat = small_instance(rng, nmax=8, fat_root=True)
+        for root in split_roots(t, fat):
+            e = SplitEngine(g, t, root=root)
+            if e.split_query() is None or not e.children[root]:
+                continue
+            three_way_roots += len(e.children[root]) == 3
+            child = e.children[root][0]
+            e.state_query(child)
+            e.move_to(child)
+            for i in (None, root, e.root):
+                with pytest.raises(ContractViolation):
+                    e.state_query(i)
+            checked += 1
+    assert checked >= 10 and three_way_roots >= 10, (checked, three_way_roots)
 
 
 def test_state_query_path3_worked_example():
@@ -355,12 +407,7 @@ def test_propagated_states_form_valid_split(groups):
     checked = three_way_roots = 0
     for _ in range(200):
         g, t, fat = small_instance(rng, nmax=8, fat_root=True)
-        # the largest bag, and the largest with three neighbours, so that
-        # reads also push through split roots with three children
-        adj = t.adjacency()
-        forks = [i for i in range(len(t.bags)) if len(adj[i]) == 3]
-        roots = {fat, max(forks, key=lambda i: (len(t.bags[i]), -i))} if forks else {fat}
-        for root in sorted(roots):
+        for root in split_roots(t, fat):
             e = SplitEngine(g, t, root=root, groups=groups)
             objective = e.split_query()
             if objective is None:

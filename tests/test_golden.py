@@ -40,12 +40,12 @@ PINNED = {
     "grid4x4-lower-bound": (
         "LOWERBOUND k=1 bag 9 10 11 12 15",
         "313477bbe9d40f571b8d7154adb1e9931b9d4919a5df8df9479127e12b575090",
-        (1, 0, 0, 7, 31),
+        (2, 0, 0, 14, 62),
     ),
     "ktree1-two-way": (
         "s td 31 4 16",
         "4532c01d8a6eca50d682318a707465e27fa646c52661324cc6d32ae25bfb11a9",
-        (3, 3, 3, 24, 136),
+        (3, 3, 3, 26, 99),
     ),
     "ktree2-three-way": (
         "s td 11 6 16",

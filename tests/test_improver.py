@@ -7,6 +7,7 @@ import pytest
 from twapx import (
     ContractViolation,
     Decomposition,
+    EditPlan,
     Graph,
     LowerBound,
     RunStats,
@@ -21,6 +22,7 @@ from twapx import (
 from twapx.improver import (
     _check_open_path,
     _check_skipped,
+    _with_sentinel,
     build_replacement,
     find_editable,
     potential,
@@ -29,6 +31,7 @@ from twapx.improver import (
 
 from gen import (
     clique,
+    coarsen,
     cycle_graph,
     grid_graph,
     partial_ktree,
@@ -174,6 +177,59 @@ def test_pass_walks_only_toward_maximum_bags(monkeypatch, name, check):
     assert max(len(b) for b in e.bags.values()) == 2
     assert visited == want
     assert (e.moves, e.tables_computed) == counts
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_next_pass_matches_a_new_engine(groups):
+    # after each successful pass, the reused engine must hold what a new
+    # engine over the export plus a start leaf holds, under the same cap
+    rng = random.Random(666)
+    compared = narrowed = 0
+    for trial in range(10):
+        g, t = partial_ktree(rng, rng.randint(10, 30), k=1)
+        cap = (None, 2)[trial % 2]
+        e = SplitEngine(g, _with_sentinel(coarsen(t, 7)), groups=groups, cap=cap)
+        while True:
+            sentinel = e.root
+            if reduce_width_pass(e, sentinel) is not None:
+                break
+            t, remap = e.export_decomposition(skip=sentinel)
+            if width(t) < 4:
+                break
+            hmax = e.hmax
+            e.next_pass()
+            fresh = SplitEngine(g, _with_sentinel(t), groups=groups, cap=cap)
+            ids = {**remap, e.root: fresh.root}
+            assert sorted(ids) == sorted(e.bags) and not e.bags[e.root]
+            for i, j in ids.items():
+                assert e.table[i] == fresh.table[j]
+                p = e.parent[i]
+                assert (None if p is None else ids[p]) == fresh.parent[j]
+                assert [ids[c] for c in e.children[i]] == fresh.children[j]
+            assert (e.width, e.hmax) == (fresh.width, fresh.hmax)
+            assert e.tables_computed == 2 * e.moves > 0
+            compared += 1
+            narrowed += e.hmax < hmax
+    assert compared >= 16 and narrowed >= 8, (compared, narrowed)
+
+
+def test_next_pass_needs_the_empty_start_leaf_at_the_root():
+    g = path_graph(3)
+    t = TreeDecomposition([[0, 1], [1, 2], []], [(0, 1), (1, 2)], root=0)
+    with pytest.raises(ContractViolation):
+        SplitEngine(g, t, root=0).next_pass()
+    between = TreeDecomposition([[0, 1], [], [1, 2]], [(0, 1), (1, 2)], root=1)
+    with pytest.raises(ContractViolation):
+        SplitEngine(g, between, root=1).next_pass()
+    e = SplitEngine(g, t, root=2)
+    e.next_pass()
+    assert e.root == 3 and 2 not in e.bags
+    assert e.parent == {3: None, 0: 3, 1: 0}
+    # tables cannot take back rows they never kept: the width may not grow
+    e = SplitEngine(g, t, root=2)
+    e.edit(EditPlan([2, 1], [[0, 1, 2], []], [(0, 1)], {0: 0}, 1))
+    with pytest.raises(ContractViolation):
+        e.next_pass()
 
 
 def test_approximate_path3_k0():
