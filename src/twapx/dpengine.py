@@ -631,7 +631,7 @@ class SplitEngine:
         if skip is not None and skip in self.bags and len(self.neighbors(skip)) > 1:
             raise ContractViolation(f"cannot skip non-leaf node {skip}")
         remap = {i: j for j, i in enumerate(keep)}
-        bags = [sorted(self.bags[i]) for i in keep]
+        bags = [list(self.bag_list[i]) for i in keep]
         edges = []
         for i in keep:
             p = self.parent[i]

@@ -1,66 +1,58 @@
 """Undirected graph container and PACE-style .gr parsing/emission.
 
-Vertices are 0-based ints internally; the file format is 1-based.
+Vertices are 0-based ints internally; the file format is 1-based. A Graph is
+immutable: it keeps one sorted, duplicate-free neighbour list per vertex and
+nothing else.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import insort
+from bisect import bisect_left
 
 from .errors import ParseError
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Immutable simple undirected graph.
 
-    Self-loops and duplicate edges are rejected by the constructor; the .gr
-    parser normalizes them away before construction.
+    adj[u] is the sorted, duplicate-free list of u's neighbours, and the only
+    copy of the edges; callers read it and never change it. has_edge bisects
+    it. The constructor, the one place that builds adj, rejects self-loops
+    and duplicate edges in either orientation; the .gr parser normalizes them
+    away before construction.
     """
 
-    __slots__ = ("n", "adj", "_adj_sets", "_m")
+    __slots__ = ("n", "adj", "_m")
 
     def __init__(self, n: int, edges: list[tuple[int, int]] | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._adj_sets: list[set[int]] = [set() for _ in range(n)]
         self._m = 0
         for u, v in edges or ():
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in self._adj_sets[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            self._adj_sets[u].add(v)
-            self._adj_sets[v].add(u)
             self.adj[u].append(v)
             self.adj[v].append(u)
             self._m += 1
-        for lst in self.adj:
+        for u, lst in enumerate(self.adj):
             lst.sort()
-
-    def add_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if v in self._adj_sets[u]:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        self._adj_sets[u].add(v)
-        self._adj_sets[v].add(u)
-        insort(self.adj[u], v)
-        insort(self.adj[v], u)
-        self._m += 1
+            if len(set(lst)) != len(lst):
+                v = next(a for a, b in zip(lst, lst[1:]) if a == b)
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
 
     @property
     def m(self) -> int:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        lst = self.adj[u]
+        i = bisect_left(lst, v)
+        return i < len(lst) and lst[i] == v
 
     def neighbors(self, u: int) -> list[int]:
         return self.adj[u]

@@ -17,6 +17,7 @@ consecutive passes while the number of groups stays the same.
 from __future__ import annotations
 
 import time
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from .dpengine import EditPlan, SplitEngine
@@ -101,9 +102,9 @@ class EditableInfo:
     x_full: frozenset[int]
 
 
-def potential(t: TreeDecomposition) -> int:
+def potential(bags: Iterable[Collection[int]]) -> int:
     """Sum over bags of 7^(bag size), as an exact integer."""
-    return sum(7 ** len(b) for b in t.bags)
+    return sum(7 ** len(b) for b in bags)
 
 
 def _group_count(state: tuple[frozenset[int], ...]) -> int:
@@ -281,6 +282,8 @@ def _check_assembled_split(
 ) -> None:
     """Reassemble a full vertex partition from the per-bag restrictions and
     verify it is a valid split of w."""
+    from .oracle import _components_avoiding
+
     group_of: dict[int, int] = {}
     for st in info.states.values():
         for gi in range(3):
@@ -290,24 +293,11 @@ def _check_assembled_split(
                         f"vertex {v} assigned to two different groups"
                     )
     x = info.x_full
-    seen = set(x)
     parts: list[set[int]] = [set(), set(), set()]
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        head = 0
-        while head < len(comp):
-            curv = comp[head]
-            head += 1
-            for nb in g.adj[curv]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
+    for comp in _components_avoiding(g, x):
         gset = {group_of[v] for v in comp if v in group_of}
         if len(gset) > 1:
-            raise ContractViolation(f"component {sorted(comp)} spans groups {gset}")
+            raise ContractViolation(f"component {comp} spans groups {gset}")
         parts[gset.pop() if gset else 0].update(comp)
     if not is_valid_split(g, w, parts[0], parts[1], parts[2], x):
         raise ContractViolation("assembled assignment is not a valid split")
@@ -396,9 +386,9 @@ def reduce_width_pass(
         while path[-1] in rset:
             path.pop()
         q = path[-1]
-        removed_sizes = [len(engine.bags[m]) for m in info.nodes]
         if check:
             pre_hist = sum(1 for b in engine.bags.values() if len(b) == w + 1)
+            pre_potential = potential(engine.bags[m] for m in info.nodes)
         plan = build_replacement(engine, info, q)
         new_ids = engine.edit(plan)
         if stats is not None:
@@ -411,9 +401,7 @@ def reduce_width_pass(
                 raise ContractViolation(
                     f"count of maximum bags did not decrease ({pre_hist} -> {post_hist})"
                 )
-            drop = sum(7**s for s in removed_sizes) - sum(
-                7 ** len(b) for b in plan.bags
-            )
+            drop = pre_potential - potential(plan.bags)
             if drop < len(info.nodes):
                 raise ContractViolation(
                     f"potential dropped by {drop} < t = {len(info.nodes)}"

@@ -3,7 +3,9 @@
 Pins the exact output of small engine-exercising runs, recorded once from a
 known-good engine: the SHA-256 of the emitted .td text (and, for a lower
 bound, of the certificate line plus its .td) together with the run counters.
-Any change to table codes, tie-breaking or split choice shows here.
+Any change to table codes, tie-breaking or split choice shows here. The
+bootstrap decompositions (min-degree and min-fill elimination) are pinned the
+same way, by the SHA-256 of their .td text.
 """
 
 import hashlib
@@ -12,8 +14,9 @@ import random
 import pytest
 
 from twapx import Decomposition, RunStats, approximate, emit_td
+from twapx.treedec import initial_decomposition
 
-from gen import coarsen, grid_graph, partial_ktree
+from gen import coarsen, grid_graph, partial_ktree, random_connected_graph
 
 
 def result_text(r):
@@ -63,3 +66,36 @@ def test_output_is_byte_identical(name):
     counts = (st.passes, st.two_way_passes, st.splits, st.moves, st.tables)
     got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest(), counts)
     assert got == PINNED[name]
+
+
+BOOT_GRAPHS = {
+    "grid5x8": lambda: grid_graph(5, 8),
+    "random30": lambda: random_connected_graph(random.Random(30), 30, 20),
+}
+
+# (graph, strategy) -> (first line, sha256) of the bootstrap decomposition's .td
+BOOT_PINNED = {
+    ("grid5x8", "min-degree"): (
+        "s td 40 8 40",
+        "252cad88f63a2d01527bc2eecdb197c209a7922ebda341966f21f4c023c0c75f",
+    ),
+    ("grid5x8", "min-fill"): (
+        "s td 40 6 40",
+        "78cd7b2032069cdc17c591d8fd748abdb9ddccff78636ba1454234c315fe6bc5",
+    ),
+    ("random30", "min-degree"): (
+        "s td 30 7 30",
+        "37f1f7b4aeb845b0cf6d646154e202c7a9c99e9dda54bbc0d6893123829b3f70",
+    ),
+    ("random30", "min-fill"): (
+        "s td 30 7 30",
+        "b7f4c809376ba2a0503bcc33eec0ab2737a79d4e7d2c7cab3febddff6a70dc20",
+    ),
+}
+
+
+@pytest.mark.parametrize("graph, strategy", sorted(BOOT_PINNED))
+def test_bootstrap_output_is_byte_identical(graph, strategy):
+    text = emit_td(initial_decomposition(BOOT_GRAPHS[graph](), strategy))
+    got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest())
+    assert got == BOOT_PINNED[graph, strategy]

@@ -28,16 +28,34 @@ def test_constructor_rejections():
         Graph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
-
-
-def test_add_edge_keeps_sorted_adjacency():
-    g = Graph(5)
-    g.add_edge(0, 4)
-    g.add_edge(0, 2)
-    g.add_edge(0, 3)
-    assert g.adj[0] == [2, 3, 4]
     with pytest.raises(ValueError):
-        g.add_edge(4, 0)
+        Graph(2, [(-1, 0)])
+    # duplicates given far apart, in either orientation
+    for edges in [(0, 3), (1, 2), (3, 0)], [(0, 3), (1, 2), (0, 3)], [(3, 1), (1, 3)]:
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(4, edges)
+
+
+def test_has_edge_at_the_ends_of_the_list():
+    g = Graph(6, [(2, 3), (2, 4), (0, 1)])
+    assert g.adj[2] == [3, 4]
+    assert not g.has_edge(2, 0) and not g.has_edge(2, 1)  # below the smallest
+    assert not g.has_edge(2, 5)  # above the largest
+    assert g.has_edge(2, 3) and g.has_edge(2, 4) and g.has_edge(4, 2)
+    assert not any(g.has_edge(5, v) for v in range(6))  # isolated vertex
+    assert not any(g.has_edge(v, 5) for v in range(6))
+
+
+def test_has_edge_matches_the_edge_list():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+        edges = set(g.edges())
+        for u in range(n):
+            assert g.adj[u] == sorted(set(g.adj[u]))
+            for v in range(n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
 
 
 def test_emit_canonical_path3():

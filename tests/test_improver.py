@@ -43,9 +43,9 @@ from gen import (
 
 
 def test_potential_frozen_values():
-    assert potential(TreeDecomposition([[0, 1], [1, 2]], [(0, 1)])) == 98
-    assert potential(TreeDecomposition([[], [0]], [(0, 1)])) == 8
-    assert potential(TreeDecomposition([[]], [])) == 1
+    assert potential(TreeDecomposition([[0, 1], [1, 2]], [(0, 1)]).bags) == 98
+    assert potential(TreeDecomposition([[], [0]], [(0, 1)]).bags) == 8
+    assert potential(TreeDecomposition([[]], []).bags) == 1
 
 
 def test_find_editable_path3_star_region():
