@@ -54,9 +54,6 @@ class Graph:
         i = bisect_left(lst, v)
         return i < len(lst) and lst[i] == v
 
-    def neighbors(self, u: int) -> list[int]:
-        return self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         out = []
@@ -65,9 +62,6 @@ class Graph:
                 if u < v:
                     out.append((u, v))
         return out
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -1,6 +1,10 @@
 """Tree decompositions: container, validation, rooting, normalization, PACE .td I/O,
 and elimination-ordering bootstrap heuristics.
 
+The bootstrap plays the elimination game once: each move appends the
+eliminated vertex's bag, and the same bags are then linked into the tree,
+whether the order is given or chosen greedily (min-degree, min-fill).
+
 Node ids are list indices (0-based); bags are sorted vertex lists. The .td
 format is 1-based on both bag ids and vertices.
 """
@@ -9,7 +13,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import ParseError
 from .graph import Graph
@@ -59,7 +65,8 @@ def width(t: TreeDecomposition) -> int:
 
 
 def validate(g: Graph, t: TreeDecomposition) -> list[str]:
-    """Check the three decomposition conditions plus structural sanity.
+    """Check the three decomposition conditions plus structural sanity,
+    including that a root, if set, is a node.
 
     Returns a list of human-readable violations (empty when valid), each
     naming the failed condition and a witness.
@@ -84,6 +91,9 @@ def validate(g: Graph, t: TreeDecomposition) -> list[str]:
             if not (0 <= x < g.n):
                 out.append(f"structure: bag {i} contains out-of-range vertex {x}")
                 ok_bags = False
+
+    if t.root is not None and not (0 <= t.root < nn):
+        out.append(f"structure: root {t.root} out of range for {nn} nodes")
 
     adj: list[list[int]] = [[] for _ in range(nn)]
     seen_edges: set[tuple[int, int]] = set()
@@ -331,6 +341,43 @@ def emit_td(t: TreeDecomposition) -> str:
 STRATEGIES = ("trivial", "min-degree", "min-fill")
 
 
+def _eliminate(adj: list[set[int]], v: int, bags: list[list[int]]) -> list[tuple[int, int]]:
+    """One move of the elimination game: append v's bag, drop v from its
+    neighbours and make them a clique. Returns the fill edges added."""
+    nb = sorted(adj[v])
+    bags.append(sorted([v] + nb))
+    for a in nb:
+        adj[a].discard(v)
+    fill = []
+    for a, b in combinations(nb, 2):
+        if b not in adj[a]:
+            adj[a].add(b)
+            adj[b].add(a)
+            fill.append((a, b))
+    return fill
+
+
+def _elimination_tree(order: list[int], bags: list[list[int]]) -> TreeDecomposition:
+    """Link the bags of an elimination game into a tree rooted at the last.
+
+    Bag i links to the bag of its earliest-eliminated other vertex, which
+    keeps every vertex's bags connected, or to bag i+1 when it has none. The
+    edges come out sorted, as each is (i, later bag) for increasing i.
+    """
+    n = len(order)
+    if n == 0:
+        return TreeDecomposition([[]], [], root=0)
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order):
+        p = min((pos[x] for x in bags[i] if x != v), default=None)
+        if p is not None:
+            edges.append((i, p))
+        elif i + 1 < n:
+            edges.append((i, i + 1))
+    return TreeDecomposition(bags, edges, root=n - 1)
+
+
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """Build a tree decomposition from an elimination ordering.
 
@@ -338,113 +385,63 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     graph; each bag links to the bag of its earliest-eliminated such
     neighbor, which keeps every vertex's bags connected.
     """
-    n = g.n
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    if n == 0:
-        return TreeDecomposition([[]], [], root=0)
-    adj = [set(g.adj[v]) for v in range(n)]
-    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(a) for a in g.adj]
     bags: list[list[int]] = []
     for v in order:
-        nb = sorted(adj[v])
-        bags.append(sorted([v] + nb))
-        for a in nb:
-            adj[a].discard(v)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-    edges = []
-    for i, v in enumerate(order):
-        rest = [x for x in bags[i] if x != v]
-        if rest:
-            p = min(pos[x] for x in rest)
-            edges.append((min(i, p), max(i, p)))
-        elif i + 1 < n:
-            edges.append((i, i + 1))
-    return TreeDecomposition(bags, sorted(edges), root=n - 1)
+        _eliminate(adj, v, bags)
+    return _elimination_tree(order, bags)
 
 
-def _min_degree_order(g: Graph) -> list[int]:
-    n = g.n
-    adj = [set(g.adj[v]) for v in range(n)]
-    heap = [(len(adj[v]), v) for v in range(n)]
+def _degree(adj: list[set[int]], v: int) -> int:
+    return len(adj[v])
+
+
+def _fill_in(adj: list[set[int]], v: int) -> int:
+    """Number of fill edges that eliminating v would add."""
+    return sum(b not in adj[a] for a, b in combinations(adj[v], 2))
+
+
+def _greedy(g: Graph, score: Callable[[list[set[int]], int], int]) -> TreeDecomposition:
+    """Play the elimination game on a vertex of least score each move (ties
+    to the smaller id). A move can change the score only of v's neighbours
+    and of the common neighbours of each fill edge, so only those are
+    re-scored."""
+    adj = [set(a) for a in g.adj]
+    scores: list[int | None] = [score(adj, v) for v in range(g.n)]
+    heap = [(s, v) for v, s in enumerate(scores)]
     heapq.heapify(heap)
-    gone = [False] * n
-    order = []
+    order: list[int] = []
+    bags: list[list[int]] = []
     while heap:
-        d, v = heapq.heappop(heap)
-        if gone[v] or d != len(adj[v]):
+        s, v = heapq.heappop(heap)
+        if s != scores[v]:  # stale entry, or v already eliminated
             continue
-        gone[v] = True
+        scores[v] = None
         order.append(v)
-        nb = sorted(adj[v])
-        for a in nb:
-            adj[a].discard(v)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        for a in nb:
-            heapq.heappush(heap, (len(adj[a]), a))
-    return order
-
-
-def _min_fill_order(g: Graph) -> list[int]:
-    n = g.n
-    adj = [set(g.adj[v]) for v in range(n)]
-
-    def fill(v: int) -> int:
-        nb = list(adj[v])
-        cnt = 0
-        for i, a in enumerate(nb):
-            for b in nb[i + 1 :]:
-                if b not in adj[a]:
-                    cnt += 1
-        return cnt
-
-    fills = {v: fill(v) for v in range(n)}
-    heap = [(fills[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    gone = [False] * n
-    order = []
-    while heap:
-        f, v = heapq.heappop(heap)
-        if gone[v] or f != fills[v]:
-            continue
-        gone[v] = True
-        order.append(v)
-        nb = sorted(adj[v])
-        dirty = set(nb)
-        for a in nb:
-            adj[a].discard(v)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    dirty.update(adj[a] & adj[b])
-        for a in dirty:
-            if not gone[a]:
-                fills[a] = fill(a)
-                heapq.heappush(heap, (fills[a], a))
-    return order
+        touched = set(adj[v])
+        for a, b in _eliminate(adj, v, bags):
+            touched |= adj[a] & adj[b]
+        for a in touched:
+            scores[a] = score(adj, a)
+            heapq.heappush(heap, (scores[a], a))
+    return _elimination_tree(order, bags)
 
 
 def initial_decomposition(g: Graph, strategy: str = "min-degree") -> TreeDecomposition:
     """Bootstrap decomposition via a named heuristic.
 
-    trivial puts all vertices in one bag; min-degree and min-fill run the
-    corresponding elimination-ordering heuristic. No width guarantee is
-    implied; the improvement loop works from any valid starting point.
+    trivial puts all vertices in one bag; min-degree and min-fill play the
+    elimination game once, each move on a vertex of least degree or least
+    fill-in, and the bags of that one game form the decomposition. No width
+    guarantee is implied; the improvement loop works from any valid
+    starting point.
     """
     if strategy == "trivial":
         return TreeDecomposition([list(range(g.n))], [], root=0)
     if strategy == "min-degree":
-        return decomposition_from_order(g, _min_degree_order(g))
+        return _greedy(g, _degree)
     if strategy == "min-fill":
-        return decomposition_from_order(g, _min_fill_order(g))
+        return _greedy(g, _fill_in)
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")

@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from twapx import Decomposition, RunStats, approximate, emit_td
-from twapx.treedec import initial_decomposition
+from twapx import Decomposition, Graph, RunStats, approximate, emit_td
+from twapx.treedec import decomposition_from_order, initial_decomposition
 
 from gen import coarsen, grid_graph, partial_ktree, random_connected_graph
 
@@ -68,9 +68,16 @@ def test_output_is_byte_identical(name):
     assert got == PINNED[name]
 
 
+def two_grids_and_isolated():
+    """Two 3x3 grids on vertices 0-8 and 9-17; vertices 18 and 19 are isolated."""
+    edges = grid_graph(3, 3).edges()
+    return Graph(20, edges + [(u + 9, v + 9) for u, v in edges])
+
+
 BOOT_GRAPHS = {
     "grid5x8": lambda: grid_graph(5, 8),
     "random30": lambda: random_connected_graph(random.Random(30), 30, 20),
+    "two-grids3x3+2": two_grids_and_isolated,
 }
 
 # (graph, strategy) -> (first line, sha256) of the bootstrap decomposition's .td
@@ -91,6 +98,14 @@ BOOT_PINNED = {
         "s td 30 7 30",
         "b7f4c809376ba2a0503bcc33eec0ab2737a79d4e7d2c7cab3febddff6a70dc20",
     ),
+    ("two-grids3x3+2", "min-degree"): (
+        "s td 20 4 20",
+        "8938c08977a515f550327f195a4ca4c03efe1bb4c992af48cb9a9b436d715e07",
+    ),
+    ("two-grids3x3+2", "min-fill"): (
+        "s td 20 4 20",
+        "0289f5936317aef5307cbdd1ea26af9835806c6811eaef62be2871d4457a6dc0",
+    ),
 }
 
 
@@ -99,3 +114,14 @@ def test_bootstrap_output_is_byte_identical(graph, strategy):
     text = emit_td(initial_decomposition(BOOT_GRAPHS[graph](), strategy))
     got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest())
     assert got == BOOT_PINNED[graph, strategy]
+
+
+def test_decomposition_from_order_is_byte_identical():
+    order = list(range(40))
+    random.Random(40).shuffle(order)
+    text = emit_td(decomposition_from_order(grid_graph(5, 8), order))
+    got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest())
+    assert got == (
+        "s td 40 16 40",
+        "485e1642e91867995c59db483d502233ac02175cff055c1493679c6cccd00942",
+    )

@@ -12,11 +12,11 @@ from gen import random_connected_graph
 def test_basic_container():
     g = Graph(4, [(0, 1), (2, 1), (0, 3)])
     assert g.n == 4 and g.m == 3
-    assert g.neighbors(1) == [0, 2]
+    assert g.adj[1] == [0, 2]
     assert g.has_edge(1, 0) and g.has_edge(0, 1)
     assert not g.has_edge(2, 3)
     assert g.edges() == [(0, 1), (0, 3), (1, 2)]
-    assert g.degree(0) == 2 and g.degree(3) == 1
+    assert len(g.adj[0]) == 2 and len(g.adj[3]) == 1
 
 
 def test_constructor_rejections():

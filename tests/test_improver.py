@@ -281,6 +281,15 @@ def test_approximate_validates_inputs():
         approximate(g, 1, strategy="best")
 
 
+def test_approximate_rejects_t0_root_out_of_range():
+    # bag 4 has degree 4, so normalize_degree3 would look the root up
+    g = Graph(6, [(0, i) for i in range(1, 6)])
+    bags = [[0, 1, 2], [0, 3], [0, 4], [0, 5], [0]]
+    t0 = TreeDecomposition(bags, [(i, 4) for i in range(4)], root=9)
+    with pytest.raises(ValueError, match="starting decomposition invalid: structure: root 9"):
+        approximate(g, 0, t0=t0)
+
+
 def test_approximate_keeps_good_t0():
     rng = random.Random(222)
     g, t0 = partial_ktree(rng, 40, k=3)

@@ -47,6 +47,13 @@ def test_validate_named_violations():
         assert problems and any(p.startswith(label) for p in problems), (t, problems)
 
 
+def test_validate_reports_root_out_of_range():
+    g = path_graph(3)
+    for root in (2, -1):
+        t = TreeDecomposition([[0, 1], [1, 2]], [(0, 1)], root=root)
+        assert validate(g, t) == [f"structure: root {root} out of range for 2 nodes"]
+
+
 def test_rooted_view_home_bags():
     t = TreeDecomposition([[0, 1], [1, 2], [2, 3]], [(0, 1), (1, 2)])
     rv = root_and_home_bags(t, 0)
