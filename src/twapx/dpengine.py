@@ -9,12 +9,17 @@ Digits are read and written with shifts and masks: the digit of position idx
 in a bag of size s is (code >> 2*(s-1-idx)) & 3, and since the separator is
 the only digit with both bits set, (code & (code >> 1) & lows).bit_count()
 counts the separator digits at the positions whose low bits lows holds. A
-table maps code -> {nsep: cost} where nsep counts separator vertices in the
-subtree of i and cost sums, over those vertices, the edge distance from their
-shallowest containing bag to i. Rows keep nsep <= hmax, the largest bag size
-minus one or the engine's cap, whichever is smaller; nsep never falls along a
-lift or a join, so a capped table is the uncapped one with its rows of
-nsep > cap dropped.
+table maps code -> (nsep, cost), the lexicographically least such pair over
+the assignments of the subtree of i that restrict to code: nsep counts their
+separator vertices and cost sums, over those vertices, the edge distance from
+their shallowest containing bag to i. Only this pair can reach a split: the
+split test only gets easier as nsep falls, and every kernel step keeps
+(nsep, cost) order (a lift adds nsep minus a per-code constant to cost, an
+introduce adds one to nsep, a join adds pairs and subtracts a per-code
+constant from nsep, a forget takes minima). Codes keep nsep <= hmax, the
+largest bag size minus one or the engine's cap, whichever is smaller; nsep
+never falls along a lift or a join, so a capped table is the uncapped one
+with its codes of nsep > cap dropped.
 
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is one lift
@@ -95,9 +100,6 @@ class EditPlan:
 class SplitEngine:
     """Split tables over a rooted tree decomposition of maximum degree 3."""
 
-    base = 4  # digit values: three groups and the separator
-    xdigit = SEP
-
     def __init__(
         self,
         g: Graph,
@@ -130,11 +132,11 @@ class SplitEngine:
         self.bag_list: dict[int, list[int]] = {}
         self.parent: dict[int, int | None] = {}
         self.children: dict[int, list[int]] = {}
-        self.table: dict[int, dict[int, dict[int, int]]] = {}
+        self.table: dict[int, dict[int, tuple[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
         # the lift of the old root into the new one, kept by the last _step
         # as {(child, parent): lifted table} until the next step or edit
-        self._kept: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+        self._kept: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
         self._next_id = len(t.bags)
 
         self.tables_computed = 0
@@ -184,15 +186,9 @@ class SplitEngine:
             parts[(code >> 2 * (size - 1 - idx)) & 3].append(v)
         return tuple(frozenset(p) for p in parts)
 
-    def encode(self, bag: list[int], assign: dict[int, int]) -> int:
-        code = 0
-        for v in bag:
-            code = code << 2 | assign[v]
-        return code
-
     # ----------------------------------------------------------------- tables
 
-    def _lift(self, child: int, i: int) -> dict[int, dict[int, int]]:
+    def _lift(self, child: int, i: int) -> dict[int, tuple[int, int]]:
         """Child table re-expressed over the bag of i.
 
         One pass re-anchors and forgets: costs advance one edge toward i (each
@@ -204,35 +200,30 @@ class SplitEngine:
         cbag = self.bag_list[child]
         shared = _lows(cbag, pset)
         runs = _keep_runs(cbag, pset)
-        out: dict[int, dict[int, int]] = {}
-        for code, hs in self.table[child].items():
-            xin = (code & (code >> 1) & shared).bit_count()
+        out: dict[int, tuple[int, int]] = {}
+        for code, (h, d) in self.table[child].items():
+            hd = (h, d + h - (code & (code >> 1) & shared).bit_count())
             ncode = 0
             for mask, shift in runs:  # _pack, inlined: once per child code
                 ncode |= (code & mask) >> shift
-            slot = out.get(ncode)
-            if slot is None:
-                out[ncode] = {h: d + h - xin for h, d in hs.items()}
-                continue
-            for h, d in hs.items():
-                d += h - xin
-                old = slot.get(h)
-                if old is None or d < old:
-                    slot[h] = d
+            old = out.get(ncode)
+            if old is None or hd < old:
+                out[ncode] = hd
         frame = [v for v in cbag if v in pset]
         return self._introduce_all(out, frame, self.bag_list[i])
 
     def _introduce_all(
-        self, tab: dict[int, dict[int, int]], frame: list[int], target: list[int]
-    ) -> dict[int, dict[int, int]]:
+        self, tab: dict[int, tuple[int, int]], frame: list[int], target: list[int]
+    ) -> dict[int, tuple[int, int]]:
         """Extend the frame to target (a superset) one vertex at a time,
         rejecting assignments that put adjacent vertices in distinct groups.
 
         A new vertex may join group 0 when every neighbour digit is 0 or 3
         (its two bits agree), group 1 when every neighbour digit has its low
         bit set, group 2 when every one has its high bit set; the separator
-        is always allowed while nsep stays within hmax. Each (code, digit)
-        pair gives a distinct new code, so rows are passed on, not merged.
+        is always allowed while nsep stays within hmax, and adds one to it.
+        Each (code, digit) pair gives a distinct new code, so pairs are passed
+        on, not merged.
         """
         has_edge = self.g.has_edge
         three = self.groups == 3
@@ -251,48 +242,38 @@ class SplitEngine:
             sh = 2 * (size - idx)
             low = (1 << sh) - 1
             one, two, sep = 1 << sh, 2 << sh, SEP << sh
-            nxt: dict[int, dict[int, int]] = {}
-            for code, hs in cur.items():
+            nxt: dict[int, tuple[int, int]] = {}
+            for code, hd in cur.items():
                 stem = (code >> sh) << (sh + 2) | (code & low)
                 if not (code ^ (code >> 1)) & nb:
-                    nxt[stem] = hs
+                    nxt[stem] = hd
                 if code & nb == nb:
-                    nxt[stem | one] = hs
+                    nxt[stem | one] = hd
                 if three and (code >> 1) & nb == nb:
-                    nxt[stem | two] = hs
-                row = {h + 1: d for h, d in hs.items() if h < hmax}
-                if row:
-                    nxt[stem | sep] = row
+                    nxt[stem | two] = hd
+                h, d = hd
+                if h < hmax:
+                    nxt[stem | sep] = (h + 1, d)
             cur = nxt
             cur_frame.insert(idx, v)
         return cur
 
     def _join(
         self,
-        a: dict[int, dict[int, int]],
-        b: dict[int, dict[int, int]],
+        a: dict[int, tuple[int, int]],
+        b: dict[int, tuple[int, int]],
         lows: int,
-    ) -> dict[int, dict[int, int]]:
+    ) -> dict[int, tuple[int, int]]:
         hmax = self.hmax
-        out: dict[int, dict[int, int]] = {}
+        out: dict[int, tuple[int, int]] = {}
         small, big = (a, b) if len(a) <= len(b) else (b, a)
-        for code, hs1 in small.items():
-            hs2 = big.get(code)
-            if hs2 is None:
+        for code, (h1, d1) in small.items():
+            other = big.get(code)
+            if other is None:
                 continue
-            xcnt = (code & (code >> 1) & lows).bit_count()
-            slot: dict[int, int] = {}
-            for h1, d1 in hs1.items():
-                for h2, d2 in hs2.items():
-                    h = h1 + h2 - xcnt
-                    if h > hmax:
-                        continue
-                    d = d1 + d2
-                    old = slot.get(h)
-                    if old is None or d < old:
-                        slot[h] = d
-            if slot:
-                out[code] = slot
+            h = h1 + other[0] - (code & (code >> 1) & lows).bit_count()
+            if h <= hmax:
+                out[code] = (h, d1 + other[1])
         return out
 
     def _compute_table(self, i: int) -> None:
@@ -314,7 +295,7 @@ class SplitEngine:
             lifted = self._kept[c, i] if (c, i) in self._kept else self._lift(c, i)
             tab = lifted if tab is None else self._join(tab, lifted, lows)
         if tab is None:
-            tab = self._introduce_all({0: {0: 0}}, [], bag)
+            tab = self._introduce_all({0: (0, 0)}, [], bag)
         self.table[i] = tab
         self.tables_computed += 1
 
@@ -342,7 +323,7 @@ class SplitEngine:
         is the join of the table it replaces (already the join of its
         children's lifts) with one fresh lift of r into s; a leaf s takes
         that lift alone, as _compute_table skips the local table. The join
-        is associative and a row only gains separators as it joins, so the
+        is associative and a pair only gains separators as it joins, so the
         content is what _compute_table(s) would build. The lift is kept for
         the next _compute_table at s. Two tables are counted.
         """
@@ -369,14 +350,12 @@ class SplitEngine:
         """Read the split's restrictions to the children of i back from their
         tables, when i has a state (code, h, d) and some child lacks one.
 
-        Each child table is scanned once for the entries that project onto
-        code, re-anchored as _lift does, and the child takes the one of least
-        nsep, then least cost, then smallest child code. No other choice
-        joins to (h, d): every state has the least nsep of its code (the
-        test in split_query holds at a smaller h too, and each child passes
-        its own least nsep on), and as nsep adds up over a join, the least h
-        of code at i comes only from each child's least nsep. The final check
-        guards that invariant. Builds no table.
+        Each child table is scanned once for the codes that project onto
+        code, their pairs re-anchored as _lift does, and the child takes the
+        least (nsep, cost), then the smallest child code. Every state is the
+        pair of its code, and a join adds the children's lifted pairs, so
+        these least pairs add up to (h, d). The final check guards that.
+        Builds no table.
         """
         if i not in self.state:
             return
@@ -394,16 +373,14 @@ class SplitEngine:
             ccode = _pack(code, _keep_runs(pbag, self.bags[c]))
             runs, shared = _keep_runs(cbag, pset), _lows(cbag, pset)
             best = None
-            for full, hs in self.table[c].items():
+            for full, (ch, cd) in self.table[c].items():
                 if _pack(full, runs) != ccode:
                     continue
-                ch = min(hs)
-                xin = (full & (full >> 1) & shared).bit_count()
-                cand = (ch, hs[ch] + ch - xin, full)
+                cand = (ch, cd + ch - (full & (full >> 1) & shared).bit_count(), full)
                 if best is None or cand < best:
                     best = cand
             ch, cost, full = best
-            self.state[c] = (full, ch, self.table[c][full][ch])
+            self.state[c] = (full, *self.table[c][full])
             got_h += ch + intro
             got_d += cost
         if (got_h, got_d) != (h, d):
@@ -414,8 +391,9 @@ class SplitEngine:
     def split_query(self) -> tuple[int, int] | None:
         """Look for a minimum split of the root bag.
 
-        Scans root entries satisfying |W ∩ Cᵢ| + h < |W| for every group;
-        when one exists, makes the (h, d, code)-minimal one the active split
+        Scans root codes whose pair (h, d) satisfies |W ∩ Cᵢ| + h < |W| for
+        every group; when one exists, makes the (h, d, code)-minimal one the
+        active split
         and returns its objective (separator size h, distance d). Returns
         None, with no split active, when the bag has no split.
         """
@@ -423,15 +401,12 @@ class SplitEngine:
         wsize = len(self.bag_list[r])
         lows = _lows(self.bag_list[r])
         best: tuple[int, int, int] | None = None
-        for code, hs in self.table[r].items():
+        for code, (h, d) in self.table[r].items():
             high = code >> 1
             n1 = (code & ~high & lows).bit_count()
             n2 = (~code & high & lows).bit_count()
             n0 = wsize - n1 - n2 - (code & high & lows).bit_count()
-            worst = max(n0, n1, n2)
-            for h, d in hs.items():
-                if h + worst >= wsize:
-                    continue
+            if h + max(n0, n1, n2) < wsize:
                 cand = (h, d, code)
                 if best is None or cand < best:
                     best = cand
@@ -568,10 +543,10 @@ class SplitEngine:
         """Ready the engine for the next pass without rebuilding it.
 
         The root must be the empty start leaf of the pass just ended, with
-        one child. It is dropped, hmax narrows to the new width (rows of
+        one child. It is dropped, hmax narrows to the new width (codes of
         h > hmax are dropped, which is exact, see the module docstring), the
         pointer moves to the smallest node id of degree <= 2 and a new empty
-        leaf, id _next_id with the constant table {0: {0: 0}}, is hung there
+        leaf, id _next_id with the constant table {0: (0, 0)}, is hung there
         and moved to. An empty-bag child's lift is its parent's local table,
         which leaves the parent's table unchanged, so every table is what a
         new engine over the same nodes, rooted at that leaf, would build.
@@ -583,7 +558,7 @@ class SplitEngine:
             raise ContractViolation(f"root {r} is not an empty leaf")
         width = max(len(b) for b in self.bag_list.values()) - 1
         if width > self.width:
-            # the tables have dropped the rows a wider pass would need
+            # the tables have dropped the codes a wider pass would need
             raise ContractViolation(f"width grew from {self.width} to {width}")
         self.tables_computed = self.moves = 0
         top = self.children[r][0]
@@ -597,12 +572,7 @@ class SplitEngine:
         if self.hmax < hmax:
             keep = self.hmax
             for i, tab in self.table.items():
-                narrowed = {}
-                for code, hs in tab.items():
-                    row = {h: d for h, d in hs.items() if h <= keep}
-                    if row:
-                        narrowed[code] = row
-                self.table[i] = narrowed
+                self.table[i] = {c: hd for c, hd in tab.items() if hd[0] <= keep}
         attach = min(
             i for i, p in self.parent.items()
             if len(self.children[i]) + (p is not None) <= 2
@@ -615,7 +585,7 @@ class SplitEngine:
         self.parent[leaf] = attach
         self.children[leaf] = []
         self.children[attach].append(leaf)  # the largest id: stays sorted
-        self.table[leaf] = {0: {0: 0}}
+        self.table[leaf] = {0: (0, 0)}
         self.move_to(leaf)
 
     # ------------------------------------------------------------------ export

@@ -8,10 +8,10 @@ either split (the editable region around it is rewritten into strictly
 smaller bags) or certifies, for bags of size >= 2k+3, that the treewidth
 exceeds k. The outer loop repeats passes, dropping the width by one each
 time, until the width reaches 2k+1 or a bag refuses to split. The tables keep
-separators of at most k+1 vertices, which every such bag has when tw <= k; a
-capped pass that meets a bag with no split is redone uncapped, so a
-certificate always comes from uncapped three-way tables. One engine serves
-consecutive passes while the number of groups stays the same.
+separators of at most k+1 vertices, which every such bag has when tw <= k, so
+a bag that a three-way pass cannot split is the certificate: it has no
+balanced three-way split with a separator of at most k+1 vertices. One engine
+serves consecutive passes while the number of groups stays the same.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class Decomposition:
 @dataclass
 class LowerBound:
     """Certificate that treewidth exceeds k: a valid decomposition containing
-    a bag of size >= 2k+3 that admits no split."""
+    a bag of size >= 2k+3 that admits no balanced three-way split with a
+    separator of at most k+1 vertices."""
 
     k: int
     td: TreeDecomposition
@@ -443,11 +444,10 @@ def approximate(
     width-reduction passes while the width is at least 2k+2. Two-way tables
     are used when allowed by two_way and the current maximum bag size
     (>= 3k+4 for "auto"). The tables keep separators of at most k+1
-    vertices, enough for every bag of size >= 2k+3 when tw <= k; a capped
-    pass that finds a bag with no split is redone uncapped from the same
-    input, and the run stays uncapped. A failed uncapped two-way pass is
-    retried three-way, so certificates always come from unrestricted
-    splits. One engine serves consecutive passes with the same groups
+    vertices, enough for every bag of size >= 2k+3 when tw <= k, so a bag
+    that a three-way pass cannot split certifies tw > k. A failed two-way
+    pass is retried three-way, so certificates always come from three-way
+    tables. One engine serves consecutive passes with the same groups
     (SplitEngine.next_pass), and the decomposition is still validated
     before every pass.
     """
@@ -466,7 +466,6 @@ def approximate(
             raise ValueError("starting decomposition invalid: " + problems[0])
         t = t0
     force_three = False
-    cap: int | None = k + 1
     engine: SplitEngine | None = None
     while width(t) >= 2 * k + 2:
         maxbag = width(t) + 1
@@ -483,7 +482,7 @@ def approximate(
             engine.next_pass()
         else:
             engine = None  # free the old tables before the new ones are built
-            engine = SplitEngine(g, _with_sentinel(t), groups=groups, cap=cap)
+            engine = SplitEngine(g, _with_sentinel(t), groups=groups, cap=k + 1)
         sentinel = engine.root
         bad = reduce_width_pass(engine, sentinel, check=check, stats=st)
         st.passes += 1
@@ -497,11 +496,6 @@ def approximate(
             force_three = False
             continue
         engine = None
-        if cap is not None:
-            # a split may need more than k+1 separator vertices when tw > k:
-            # redo the pass uncapped from the same input
-            cap = None
-            continue
         if groups == 2:
             # two-way splittability is only guaranteed for larger bags; retry
             # the pass with full three-way tables before concluding anything

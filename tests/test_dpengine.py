@@ -1,11 +1,11 @@
 """Split engine tests.
 
-The table semantics are pinned by a brute-force oracle: entry (code, h) -> d
-of node i must equal the cheapest assignment of the subtree vertices to
-(group1, group2, group3, separator) that restricts to `code` on the bag,
-uses h separator vertices, where no graph edge inside the subtree joins two
-distinct groups, and d sums the subtree-relative home depths of the
-separator vertices.
+The table semantics are pinned by a brute-force oracle: the pair (h, d) of
+code in the table of node i must equal the lexicographically least one over
+every assignment of the subtree vertices to (group1, group2, group3,
+separator) that restricts to `code` on the bag and in which no graph edge
+inside the subtree joins two distinct groups, where h counts the separator
+vertices and d sums their subtree-relative home depths.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from twapx import (
     TreeDecomposition,
     exhaustive_min_split,
 )
+from twapx.dpengine import SEP
 from twapx.splits import is_valid_split
 from twapx.treedec import normalize_degree3
 
@@ -44,8 +45,19 @@ def subtree_nodes(engine, i):
     return out
 
 
+def encode(bag, assign):
+    """Code of the assignment assign over bag: one 2-bit digit per vertex,
+    the smallest vertex in the most significant digit."""
+    code = 0
+    for v in bag:
+        code = code << 2 | assign[v]
+    return code
+
+
 def brute_table(g, engine, i):
-    """Independent recomputation of engine.table[i] by full enumeration."""
+    """Independent recomputation of engine.table[i] by full enumeration: every
+    assignment is scored, and only at the end is each code's row of
+    {h: least d} collapsed to its least (h, d)."""
     nodes = subtree_nodes(engine, i)
     verts = sorted(set().union(*(engine.bags[j] for j in nodes)))
     # subtree-relative home depth: first sighting on a BFS from i
@@ -66,27 +78,26 @@ def brute_table(g, engine, i):
     edges = [
         (u, v) for u in verts for v in g.adj[u] if u < v and v in home_depth
     ]
-    xd = engine.xdigit
     bag = engine.bag_list[i]
     # two-way tables share the three-way encoding but never use group 2
-    digits = (0, 1, 2, xd) if engine.groups == 3 else (0, 1, xd)
+    digits = (0, 1, 2, SEP) if engine.groups == 3 else (0, 1, SEP)
     table = {}
     for assign in itertools.product(digits, repeat=len(verts)):
         amap = dict(zip(verts, assign))
         if any(
-            amap[u] != xd and amap[v] != xd and amap[u] != amap[v]
+            amap[u] != SEP and amap[v] != SEP and amap[u] != amap[v]
             for u, v in edges
         ):
             continue
-        h = sum(1 for v in verts if amap[v] == xd)
+        h = sum(1 for v in verts if amap[v] == SEP)
         if h > engine.hmax:
             continue
-        d = sum(home_depth[v] for v in verts if amap[v] == xd)
-        code = engine.encode(bag, {v: amap[v] for v in bag})
+        d = sum(home_depth[v] for v in verts if amap[v] == SEP)
+        code = encode(bag, {v: amap[v] for v in bag})
         slot = table.setdefault(code, {})
         if h not in slot or d < slot[h]:
             slot[h] = d
-    return table
+    return {code: min(slot.items()) for code, slot in table.items()}
 
 
 def small_instance(rng, nmax=6, extra=None, fat_root=False):
@@ -116,7 +127,7 @@ def test_init_single_vertex_h_cap():
     assert e.hmax == 0
     # width 0: the lone vertex can only be a group vertex, never separator
     assert sorted(e.table[0]) == [0, 1, 2]
-    assert all(hs == {0: 0} for hs in e.table[0].values())
+    assert all(hd == (0, 0) for hd in e.table[0].values())
 
 
 def test_init_width1_has_separator_entries():
@@ -128,7 +139,7 @@ def test_init_width1_has_separator_entries():
     # adjacent vertices in distinct groups are rejected, both-separator
     # needs h=2 > hmax
     assert len(e.table[0]) == 9
-    hs = sorted(h for slots in e.table[0].values() for h in slots)
+    hs = sorted(h for h, _d in e.table[0].values())
     assert hs == [0, 0, 0, 1, 1, 1, 1, 1, 1]
 
 
@@ -139,14 +150,14 @@ def test_encode_decode_round_trip():
     bag = [0, 2, 3, 5]
     for _ in range(50):
         assign = {v: rng.randrange(4) for v in bag}
-        code = e.encode(bag, assign)
+        code = encode(bag, assign)
         assert 0 <= code < 4 ** len(bag)
         parts = e.decode(code, bag)
         for v in bag:
             assert v in parts[assign[v]]
     # smallest vertex owns the most significant digit
-    assert e.encode(bag, {0: 3, 2: 0, 3: 0, 5: 0}) == 3 * 4 ** 3
-    assert e.encode(bag, {0: 0, 2: 0, 3: 0, 5: 1}) == 1
+    assert encode(bag, {0: 3, 2: 0, 3: 0, 5: 0}) == 3 * 4 ** 3
+    assert encode(bag, {0: 0, 2: 0, 3: 0, 5: 1}) == 1
 
 
 def test_two_way_encoding_never_uses_group_2():
@@ -172,14 +183,14 @@ def test_two_way_encoding_never_uses_group_2():
     e = SplitEngine(Graph(1), TreeDecomposition([[0]], [], root=0), groups=2)
     bag = [0, 2, 3, 5]
     for _ in range(50):
-        assign = {v: rng.choice((0, 1, e.xdigit)) for v in bag}
-        code = e.encode(bag, assign)
+        assign = {v: rng.choice((0, 1, SEP)) for v in bag}
+        code = encode(bag, assign)
         parts = e.decode(code, bag)
         assert parts[2] == frozenset()
         for v in bag:
             assert v in parts[assign[v]]
         back = {v: digit for digit, part in enumerate(parts) for v in part}
-        assert e.encode(bag, back) == code
+        assert encode(bag, back) == code
     assert three_way_roots >= 8, three_way_roots
 
 
@@ -207,11 +218,10 @@ def test_all_zero_code_always_present():
         g, t, root = small_instance(rng, nmax=9)
         e = SplitEngine(g, t, root=root)
         for i in e.bags:
-            assert e.table[i][0][0] == 0
-            for code, hs in e.table[i].items():
-                assert 0 <= code < e.base ** len(e.bag_list[i])
-                for h, d in hs.items():
-                    assert 0 <= h <= e.hmax and d >= 0
+            assert e.table[i][0] == (0, 0)
+            for code, (h, d) in e.table[i].items():
+                assert 0 <= code < 4 ** len(e.bag_list[i])
+                assert 0 <= h <= e.hmax and d >= 0
 
 
 def test_init_rejects_bad_input():
@@ -252,9 +262,7 @@ def test_move_walk_and_return_restores_tables():
     for _ in range(15):
         g, t, root = small_instance(rng, nmax=8)
         e = SplitEngine(g, t, root=root)
-        frozen = {
-            i: {c: dict(hs) for c, hs in tab.items()} for i, tab in e.table.items()
-        }
+        frozen = {i: dict(tab) for i, tab in e.table.items()}
         nodes = list(e.bags)
         for _ in range(25):
             e.move_to(rng.choice(nodes))
@@ -329,7 +337,7 @@ def test_split_query_matches_oracle_two_way():
 
 @pytest.mark.parametrize("groups", [2, 3])
 def test_capped_tables_are_filtered_tables(groups):
-    # a table built under cap c is the uncapped one with its rows of h > c
+    # a table built under cap c is the uncapped one with its codes of h > c
     # dropped, and the query finds the uncapped minimum split exactly when
     # its separator fits under the cap
     rng = random.Random(919)
@@ -347,8 +355,7 @@ def test_capped_tables_are_filtered_tables(groups):
                 e = SplitEngine(g, t, root=root, groups=groups, cap=cap)
                 assert (e.width, e.hmax) == (full.width, min(full.width, cap))
                 for i, tab in brute.items():
-                    rows = {c: {h: d for h, d in hs.items() if h <= cap} for c, hs in tab.items()}
-                    assert e.table[i] == {c: row for c, row in rows.items() if row}
+                    assert e.table[i] == {c: hd for c, hd in tab.items() if hd[0] <= cap}
                 fits = want is not None and want[0] <= cap
                 assert e.split_query() == (want if fits else None)
                 if want is not None:
@@ -418,11 +425,11 @@ def test_propagated_states_form_valid_split(groups):
             e._lift = e._join = e._introduce_all = _no_kernel
             in_place = {i: e.state_query(i) for i in e.bags}
             assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
-            # ... every state read back is an entry of its node's table, at
-            # the least separator count of its code ...
+            # ... every state read back is a code of its node's table with
+            # that code's (h, d) pair ...
             assert set(e.state) == set(e.bags)
             for i, (c, hi, di) in e.state.items():
-                assert e.table[i][c][hi] == di and hi == min(e.table[i][c])
+                assert e.table[i][c] == (hi, di)
             # ... and the restrictions fuse into one valid split of the root bag
             group = {}
             for parts in in_place.values():
@@ -442,7 +449,7 @@ def test_edit_identity_round_trip():
     g = path_graph(3)
     t = TreeDecomposition([[0, 1], [1, 2]], [(0, 1)], root=0)
     e = SplitEngine(g, t, root=0)
-    old_table_child = {c: dict(hs) for c, hs in e.table[1].items()}
+    old_table_child = dict(e.table[1])
     ids = e.edit(
         EditPlan(
             removed=[0],

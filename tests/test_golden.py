@@ -43,7 +43,7 @@ PINNED = {
     "grid4x4-lower-bound": (
         "LOWERBOUND k=1 bag 9 10 11 12 15",
         "313477bbe9d40f571b8d7154adb1e9931b9d4919a5df8df9479127e12b575090",
-        (2, 0, 0, 14, 62),
+        (1, 0, 0, 7, 31),
     ),
     "ktree1-two-way": (
         "s td 31 4 16",

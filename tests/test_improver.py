@@ -366,7 +366,9 @@ def test_lower_bound_certificates_oracle_confirmed():
                 assert tw > r.k
                 assert len(r.bag) >= 2 * r.k + 3
                 assert validate(g, r.td) == []
-                assert exhaustive_min_split(g, r.td, r.node, r.bag) is None
+                # no split with a separator of at most k+1 vertices
+                ref = exhaustive_min_split(g, r.td, r.node, r.bag)
+                assert ref is None or ref.objective[0] > r.k + 1
             else:
                 assert width(r.td) <= 2 * k + 1
     assert seen_lb >= 10
