@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--graph", required=True, help=".gr input file ('-' for stdin)")
     ap.add_argument("--k", required=True, type=int, help="target treewidth bound")
     ap.add_argument("--td", help="optional starting .td decomposition")
-    ap.add_argument("--two-way", choices=("auto", "on", "off"), default="auto")
     ap.add_argument("--seed-strategy", choices=STRATEGIES, default="min-degree")
     ap.add_argument("--out", help="write the .td here (default: standard output)")
     ap.add_argument("--stats", action="store_true", help="print run counters to stderr")
@@ -65,7 +64,6 @@ def _cmd_approx(args: argparse.Namespace) -> int:
         g,
         args.k,
         t0=t0,
-        two_way=getattr(args, "two_way"),
         strategy=getattr(args, "seed_strategy"),
         check=args.check,
         stats=stats,

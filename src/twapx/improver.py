@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dpengine import EditPlan, SplitEngine
 from .errors import ContractViolation
@@ -73,17 +73,10 @@ class RunStats:
 
     def as_lines(self) -> list[str]:
         return [
-            f"outcome={self.outcome}",
-            f"width={self.width}",
-            f"k={self.k}",
-            f"passes={self.passes}",
-            f"two_way_passes={self.two_way_passes}",
-            f"splits={self.splits}",
-            f"inserted={self.inserted}",
-            f"removed={self.removed}",
-            f"moves={self.moves}",
-            f"tables={self.tables}",
-            f"wall_time_s={self.wall_time_s:.3f}",
+            f"{f.name}={getattr(self, f.name):.3f}"
+            if f.name == "wall_time_s"
+            else f"{f.name}={getattr(self, f.name)}"
+            for f in fields(self)
         ]
 
 
@@ -327,23 +320,21 @@ def _check_against_oracle(
 
 
 def reduce_width_pass(
-    engine: SplitEngine,
-    sentinel: int,
-    check: bool = False,
-    stats: RunStats | None = None,
+    engine: SplitEngine, check: bool = False, stats: RunStats | None = None
 ) -> int | None:
     """One depth-first width-reduction pass.
 
     Returns None when every bag ends at size <= w (w = engine.width, the
     largest bag size minus one when the pass starts), or the engine node id
     of a maximum bag that admits no split with at most engine.hmax separator
-    vertices. The walk starts at the empty sentinel bag and descends only
-    into unseen children whose subtree still holds a bag of size > w;
-    closing the sentinel means no such bag is left, which is checked.
+    vertices. The walk starts at the pointer, the empty start leaf that
+    _with_sentinel and SplitEngine.next_pass put at the root, and descends
+    only into unseen children whose subtree still holds a bag of size > w;
+    closing the start leaf means no such bag is left, which is checked.
     """
     w = engine.width
     g = engine.g
-    engine.move_to(sentinel)
+    sentinel = engine.root
     path = [sentinel]  # the open nodes, sentinel first, ending at the pointer
     seen = {sentinel}
     big = _count_big(engine, sentinel, w, seen, {})
@@ -433,7 +424,6 @@ def approximate(
     g: Graph,
     k: int,
     t0: TreeDecomposition | None = None,
-    two_way: str = "auto",
     strategy: str = "min-degree",
     check: bool = False,
     stats: RunStats | None = None,
@@ -441,21 +431,22 @@ def approximate(
     """Decomposition of width <= 2k+1, or a certificate that treewidth > k.
 
     Starts from t0 (validated) or a heuristic decomposition, then runs
-    width-reduction passes while the width is at least 2k+2. Two-way tables
-    are used when allowed by two_way and the current maximum bag size
-    (>= 3k+4 for "auto"). The tables keep separators of at most k+1
-    vertices, enough for every bag of size >= 2k+3 when tw <= k, so a bag
-    that a three-way pass cannot split certifies tw > k. A failed two-way
-    pass is retried three-way, so certificates always come from three-way
-    tables. One engine serves consecutive passes with the same groups
-    (SplitEngine.next_pass), and the decomposition is still validated
-    before every pass.
+    width-reduction passes while the width is at least 2k+2. A pass uses
+    two-way tables when the largest bag W has at least 3k+4 vertices: if
+    tw <= k, W has a separator X of at most k+1 vertices that leaves at most
+    |W|/2 of W in any component, the components pack into two groups that
+    hold at most 2|W|/3 of W each, and 2|W|/3 + |X| < |W| once |W| >= 3k+4,
+    so every such bag has a two-way split. The tables keep separators of at
+    most k+1 vertices, enough for every bag of size >= 2k+3 when tw <= k,
+    so a bag that a three-way pass cannot split certifies tw > k. A failed
+    two-way pass is retried three-way, so certificates always come from
+    three-way tables. One engine serves consecutive passes with the same
+    groups (SplitEngine.next_pass), and the decomposition is still
+    validated before every pass.
     """
     start = time.monotonic()
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if two_way not in ("auto", "on", "off"):
-        raise ValueError(f"two_way must be auto, on, or off, got {two_way!r}")
     st = stats if stats is not None else RunStats()
     st.k = k
     if t0 is None:
@@ -468,13 +459,7 @@ def approximate(
     force_three = False
     engine: SplitEngine | None = None
     while width(t) >= 2 * k + 2:
-        maxbag = width(t) + 1
-        if force_three or two_way == "off":
-            groups = 3
-        elif two_way == "on":
-            groups = 2
-        else:
-            groups = 2 if maxbag >= 3 * k + 4 else 3
+        groups = 2 if not force_three and width(t) + 1 >= 3 * k + 4 else 3
         if engine is not None and engine.groups == groups:
             problems = validate(g, t)
             if problems:
@@ -484,7 +469,7 @@ def approximate(
             engine = None  # free the old tables before the new ones are built
             engine = SplitEngine(g, _with_sentinel(t), groups=groups, cap=k + 1)
         sentinel = engine.root
-        bad = reduce_width_pass(engine, sentinel, check=check, stats=st)
+        bad = reduce_width_pass(engine, check=check, stats=st)
         st.passes += 1
         if groups == 2:
             st.two_way_passes += 1
@@ -497,8 +482,8 @@ def approximate(
             continue
         engine = None
         if groups == 2:
-            # two-way splittability is only guaranteed for larger bags; retry
-            # the pass with full three-way tables before concluding anything
+            # a certificate claims that no three-way split exists, so retry
+            # the pass with three-way tables before concluding anything
             t = exported
             force_three = True
             continue

@@ -83,8 +83,19 @@ def test_approx_stats_lines(p3, capsys):
     cap = capsys.readouterr()
     assert rc == 0
     keys = [ln.split("=")[0] for ln in cap.err.splitlines() if "=" in ln]
-    for want in ("outcome", "width", "k", "passes", "splits", "wall_time_s"):
-        assert want in keys
+    assert keys == [
+        "outcome",
+        "width",
+        "k",
+        "passes",
+        "two_way_passes",
+        "splits",
+        "inserted",
+        "removed",
+        "moves",
+        "tables",
+        "wall_time_s",
+    ]
 
 
 def test_approx_with_seed_td(p3, tmp_path, capsys):
@@ -125,8 +136,11 @@ def test_exact_budget_refusal(tmp_path, capsys):
     assert cap.err.startswith("error:")
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(p3, tmp_path, capsys):
     assert run_cli(["approx", "--graph", "x.gr"]) == 2  # missing --k
+    capsys.readouterr()
+    # the table mode is chosen by the program, not by an option
+    assert run_cli(["approx", "--graph", str(p3), "--k", "1", "--two-way", "on"]) == 2
     capsys.readouterr()
     assert run_cli([]) == 2
     capsys.readouterr()

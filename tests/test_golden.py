@@ -16,7 +16,7 @@ import pytest
 from twapx import Decomposition, Graph, RunStats, approximate, emit_td
 from twapx.treedec import decomposition_from_order, initial_decomposition
 
-from gen import coarsen, grid_graph, partial_ktree, random_connected_graph
+from gen import clique, coarsen, grid_graph, partial_ktree, random_connected_graph
 
 
 def result_text(r):
@@ -26,15 +26,20 @@ def result_text(r):
     return f"LOWERBOUND k={r.k} bag {bag}\n" + emit_td(r.td)
 
 
-def coarse_ktree(seed, n, k):
+def coarse_ktree(seed, n, k, cap):
     g, t = partial_ktree(random.Random(seed), n, k=k)
-    return g, coarsen(t, 7)
+    return g, coarsen(t, cap)
 
 
 CASES = {
-    "ktree2-three-way": lambda: (*coarse_ktree(3, 16, 2), 2, "off"),
-    "ktree1-two-way": lambda: (*coarse_ktree(3, 16, 1), 1, "on"),
-    "grid4x4-lower-bound": lambda: (grid_graph(4, 4), None, 1, "auto"),
+    # bags of 7 at k=2 are below 3k+4: one three-way pass
+    "ktree2-three-way": lambda: (*coarse_ktree(3, 16, 2, 7), 2),
+    # bags of 9 at k=1: three two-way passes on one reused engine, then
+    # three-way passes once the bags drop below 3k+4 = 7
+    "ktree1-two-way": lambda: (*coarse_ktree(3, 16, 1, 9), 1),
+    # K10 at k=1: the two-way pass fails, the three-way retry certifies
+    "k10-two-way-retry": lambda: (clique(10), None, 1),
+    "grid4x4-lower-bound": lambda: (grid_graph(4, 4), None, 1),
 }
 
 # name -> (first output line, sha256 of the full text,
@@ -46,9 +51,14 @@ PINNED = {
         (1, 0, 0, 7, 31),
     ),
     "ktree1-two-way": (
-        "s td 31 4 16",
-        "4532c01d8a6eca50d682318a707465e27fa646c52661324cc6d32ae25bfb11a9",
-        (3, 3, 3, 26, 99),
+        "s td 53 4 16",
+        "43f7d3e5c6959a7b736cf9b69dd2df22b56d79394cfd2b31720be2535a981550",
+        (5, 3, 5, 42, 189),
+    ),
+    "k10-two-way-retry": (
+        "LOWERBOUND k=1 bag 1 2 3 4 5 6 7 8 9 10",
+        "1e68429edd288d5545df93faa3b1b0f02045b3fb710a463af2bf5eba05b7b88f",
+        (2, 1, 0, 2, 26),
     ),
     "ktree2-three-way": (
         "s td 11 6 16",
@@ -60,9 +70,9 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical(name):
-    g, t0, k, two_way = CASES[name]()
+    g, t0, k = CASES[name]()
     st = RunStats()
-    text = result_text(approximate(g, k, t0=t0, two_way=two_way, stats=st))
+    text = result_text(approximate(g, k, t0=t0, stats=st))
     counts = (st.passes, st.two_way_passes, st.splits, st.moves, st.tables)
     got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest(), counts)
     assert got == PINNED[name]
