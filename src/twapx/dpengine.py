@@ -80,6 +80,15 @@ def _pack(code: int, runs: list[tuple[int, int]]) -> int:
     return out
 
 
+def decode(code: int, bag: list[int]) -> tuple[frozenset[int], ...]:
+    """The code over bag as (group1, group2, group3, separator)."""
+    parts: tuple[list[int], ...] = ([], [], [], [])
+    size = len(bag)
+    for idx, v in enumerate(bag):
+        parts[(code >> 2 * (size - 1 - idx)) & 3].append(v)
+    return tuple(frozenset(p) for p in parts)
+
+
 @dataclass
 class EditPlan:
     """Replacement of a connected region containing the current root.
@@ -176,15 +185,6 @@ class SplitEngine:
         for i in reversed(order):
             if i in adj:
                 self._compute_table(i)
-
-    # ------------------------------------------------------------------ codes
-
-    def decode(self, code: int, bag: list[int]) -> tuple[frozenset[int], ...]:
-        parts: tuple[list[int], ...] = ([], [], [], [])
-        size = len(bag)
-        for idx, v in enumerate(bag):
-            parts[(code >> 2 * (size - 1 - idx)) & 3].append(v)
-        return tuple(frozenset(p) for p in parts)
 
     # ----------------------------------------------------------------- tables
 
@@ -438,9 +438,9 @@ class SplitEngine:
         for node in reversed(path[1:]):
             self._push_state(node)
         code, _h, _d = self.state[i]
-        return self.decode(code, self.bag_list[i])
+        return decode(code, self.bag_list[i])
 
-    def neighbors(self, i: int) -> list[int]:
+    def _neighbors(self, i: int) -> list[int]:
         out = list(self.children[i])
         if self.parent[i] is not None:
             out.append(self.parent[i])
@@ -462,7 +462,7 @@ class SplitEngine:
         seen = {self.root}
         while stack:
             cur = stack.pop()
-            for nb in self.neighbors(cur):
+            for nb in self._neighbors(cur):
                 if nb in removed and nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
@@ -470,7 +470,7 @@ class SplitEngine:
             raise ContractViolation("edit region is not connected")
         borders = set()
         for i in removed:
-            for nb in self.neighbors(i):
+            for nb in self._neighbors(i):
                 if nb not in removed:
                     borders.add(nb)
         if borders != set(plan.attach):
@@ -598,7 +598,7 @@ class SplitEngine:
         skip drops one leaf node (and its incident edge) from the export.
         """
         keep = sorted(i for i in self.bags if i != skip)
-        if skip is not None and skip in self.bags and len(self.neighbors(skip)) > 1:
+        if skip is not None and skip in self.bags and len(self._neighbors(skip)) > 1:
             raise ContractViolation(f"cannot skip non-leaf node {skip}")
         remap = {i: j for j, i in enumerate(keep)}
         bags = [list(self.bag_list[i]) for i in keep]
@@ -610,5 +610,5 @@ class SplitEngine:
                 edges.append((min(a, b), max(a, b)))
         root = remap.get(self.root)
         if root is None and keep:
-            root = remap[self.neighbors(self.root)[0]]
+            root = remap[self._neighbors(self.root)[0]]
         return TreeDecomposition(bags, sorted(edges), root=root), remap

@@ -9,9 +9,9 @@ smaller bags) or certifies, for bags of size >= 2k+3, that the treewidth
 exceeds k. The outer loop repeats passes, dropping the width by one each
 time, until the width reaches 2k+1 or a bag refuses to split. The tables keep
 separators of at most k+1 vertices, which every such bag has when tw <= k, so
-a bag that a three-way pass cannot split is the certificate: it has no
-balanced three-way split with a separator of at most k+1 vertices. One engine
-serves consecutive passes while the number of groups stays the same.
+a bag that a pass cannot split is the certificate: it has no balanced split
+into LowerBound.groups groups with a separator of at most k+1 vertices. One
+engine serves consecutive passes while the number of groups stays the same.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ from .treedec import (
 ORACLE_CHECK_MAX_N = 12
 
 
+def _groups(size: int, k: int) -> int:
+    """Table mode: 2 groups for a largest bag of >= 3k+4 vertices, else 3."""
+    return 2 if size >= 3 * k + 4 else 3
+
+
 @dataclass
 class Decomposition:
     """Successful outcome: a valid decomposition of width <= 2k+1."""
@@ -45,8 +50,8 @@ class Decomposition:
 @dataclass
 class LowerBound:
     """Certificate that treewidth exceeds k: a valid decomposition containing
-    a bag of size >= 2k+3 that admits no balanced three-way split with a
-    separator of at most k+1 vertices."""
+    a bag of size >= 2k+3 that admits no balanced split into `groups` groups
+    with a separator of at most k+1 vertices."""
 
     k: int
     td: TreeDecomposition
@@ -55,6 +60,11 @@ class LowerBound:
     @property
     def bag(self) -> list[int]:
         return self.td.bags[self.node]
+
+    @property
+    def groups(self) -> int:
+        """The table mode of the pass that failed on the bag."""
+        return _groups(len(self.bag), self.k)
 
 
 @dataclass
@@ -438,11 +448,10 @@ def approximate(
     hold at most 2|W|/3 of W each, and 2|W|/3 + |X| < |W| once |W| >= 3k+4,
     so every such bag has a two-way split. The tables keep separators of at
     most k+1 vertices, enough for every bag of size >= 2k+3 when tw <= k,
-    so a bag that a three-way pass cannot split certifies tw > k. A failed
-    two-way pass is retried three-way, so certificates always come from
-    three-way tables. One engine serves consecutive passes with the same
-    groups (SplitEngine.next_pass), and the decomposition is still
-    validated before every pass.
+    so a bag that a pass cannot split, in either mode, certifies tw > k.
+    One engine serves consecutive passes with the same groups
+    (SplitEngine.next_pass), and the decomposition is still validated before
+    every pass.
     """
     start = time.monotonic()
     if k < 0:
@@ -456,10 +465,9 @@ def approximate(
         if problems:
             raise ValueError("starting decomposition invalid: " + problems[0])
         t = t0
-    force_three = False
     engine: SplitEngine | None = None
     while width(t) >= 2 * k + 2:
-        groups = 2 if not force_three and width(t) + 1 >= 3 * k + 4 else 3
+        groups = _groups(width(t) + 1, k)
         if engine is not None and engine.groups == groups:
             problems = validate(g, t)
             if problems:
@@ -476,21 +484,12 @@ def approximate(
         st.moves += engine.moves
         st.tables += engine.tables_computed
         exported, remap = engine.export_decomposition(skip=sentinel)
-        if bad is None:
-            t = exported
-            force_three = False
-            continue
-        engine = None
-        if groups == 2:
-            # a certificate claims that no three-way split exists, so retry
-            # the pass with three-way tables before concluding anything
-            t = exported
-            force_three = True
-            continue
-        st.outcome = "lower-bound"
-        st.width = width(exported)
-        st.wall_time_s = time.monotonic() - start
-        return LowerBound(k=k, td=exported, node=remap[bad])
+        if bad is not None:
+            st.outcome = "lower-bound"
+            st.width = width(exported)
+            st.wall_time_s = time.monotonic() - start
+            return LowerBound(k=k, td=exported, node=remap[bad])
+        t = exported
     if check:
         problems = validate(g, t)
         if problems:

@@ -137,7 +137,7 @@ def test_criterion_2_lower_bound_sound_and_complete(corpus, checked_runs):
         for k in (tw, tw + 1):
             r = approximate(g, k)
             assert not isinstance(r, LowerBound), (name, k)
-    lbs = 0
+    lbs = two_way = 0
     for name, g, tw, k, r, _st in checked_runs:
         if k >= tw:
             assert not isinstance(r, LowerBound), (name, k, tw)
@@ -146,14 +146,18 @@ def test_criterion_2_lower_bound_sound_and_complete(corpus, checked_runs):
             assert tw > r.k, (name, tw, r.k)
             assert validate(g, r.td) == [], name
             assert len(r.bag) >= 2 * r.k + 3, (name, r.bag, r.k)
+            assert r.groups == (2 if len(r.bag) >= 3 * r.k + 4 else 3), name
+            two_way += r.groups == 2
             # no split with a separator of at most k+1 vertices
             ref = exhaustive_min_split(g, r.td, r.node, r.bag)
             assert ref is None or ref.objective[0] > r.k + 1, (name, ref)
     assert lbs >= 100, f"only {lbs} lower bounds exercised"
+    assert two_way >= 100, f"only {two_way} two-way certificates exercised"
     record(
         f"criterion 2 (lower-bound soundness/completeness): PASS - "
-        f"no false certificate at k >= tw; {lbs} certificates all "
-        f"oracle-confirmed (tw > k, no split with |X| <= k+1)"
+        f"no false certificate at k >= tw; {lbs} certificates ({two_way} "
+        f"from two-way passes) all oracle-confirmed (tw > k, no split with "
+        f"|X| <= k+1)"
     )
 
 
@@ -239,6 +243,7 @@ def test_criterion_5_cliques_sound_variant():
         r = approximate(g, k, strategy="trivial")
         assert isinstance(r, LowerBound), (n, k)
         assert len(r.bag) >= 2 * k + 3
+        assert r.groups == (2 if len(r.bag) >= 3 * r.k + 4 else 3)
         assert exhaustive_min_split(g, r.td, r.node, r.bag) is None
     record(
         "criterion 5b' (K_n at k <= (n-3)/2 yields LowerBound): PASS - "

@@ -66,6 +66,18 @@ def test_approx_lower_bound_line(k3, capsys):
     assert cap.out.strip() == "LOWERBOUND k=0 bag 1 2 3"
 
 
+def test_approx_two_way_certificate(tmp_path, capsys):
+    # K4's one bag of 4 >= 3k+4 at k=0: the failed two-way pass certifies
+    f = tmp_path / "k4.gr"
+    f.write_text(emit_gr(clique(4)))
+    rc = run_cli(["approx", "--graph", str(f), "--k", "0", "--stats"])
+    cap = capsys.readouterr()
+    assert rc == 10
+    assert cap.out.strip() == "LOWERBOUND k=0 bag 1 2 3 4"
+    stats = cap.err.splitlines()
+    assert {"passes=1", "two_way_passes=1", "tables=7"} <= set(stats)
+
+
 def test_approx_stats_lines(p3, capsys):
     rc = run_cli(
         [

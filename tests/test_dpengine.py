@@ -21,7 +21,7 @@ from twapx import (
     TreeDecomposition,
     exhaustive_min_split,
 )
-from twapx.dpengine import SEP
+from twapx.dpengine import SEP, decode
 from twapx.splits import is_valid_split
 from twapx.treedec import normalize_degree3
 
@@ -145,14 +145,12 @@ def test_init_width1_has_separator_entries():
 
 def test_encode_decode_round_trip():
     rng = random.Random(808)
-    g = Graph(6)
-    e = SplitEngine(Graph(1), TreeDecomposition([[0]], [], root=0))
     bag = [0, 2, 3, 5]
     for _ in range(50):
         assign = {v: rng.randrange(4) for v in bag}
         code = encode(bag, assign)
         assert 0 <= code < 4 ** len(bag)
-        parts = e.decode(code, bag)
+        parts = decode(code, bag)
         for v in bag:
             assert v in parts[assign[v]]
     # smallest vertex owns the most significant digit
@@ -179,13 +177,12 @@ def test_two_way_encoding_never_uses_group_2():
             for code in tab:
                 # digit 2 is the only one with its high bit set and low bit clear
                 assert (code >> 1) & ~code & lows == 0
-                assert e.decode(code, bag)[2] == frozenset()
-    e = SplitEngine(Graph(1), TreeDecomposition([[0]], [], root=0), groups=2)
+                assert decode(code, bag)[2] == frozenset()
     bag = [0, 2, 3, 5]
     for _ in range(50):
         assign = {v: rng.choice((0, 1, SEP)) for v in bag}
         code = encode(bag, assign)
-        parts = e.decode(code, bag)
+        parts = decode(code, bag)
         assert parts[2] == frozenset()
         for v in bag:
             assert v in parts[assign[v]]

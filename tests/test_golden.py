@@ -37,8 +37,9 @@ CASES = {
     # bags of 9 at k=1: three two-way passes on one reused engine, then
     # three-way passes once the bags drop below 3k+4 = 7
     "ktree1-two-way": lambda: (*coarse_ktree(3, 16, 1, 9), 1),
-    # K10 at k=1: the two-way pass fails, the three-way retry certifies
-    "k10-two-way-retry": lambda: (clique(10), None, 1),
+    # K10 at k=1: the one bag of 10 >= 3k+4 has no two-way split, and that
+    # failed two-way pass is the certificate
+    "k10-two-way-certificate": lambda: (clique(10), None, 1),
     "grid4x4-lower-bound": lambda: (grid_graph(4, 4), None, 1),
 }
 
@@ -55,10 +56,10 @@ PINNED = {
         "43f7d3e5c6959a7b736cf9b69dd2df22b56d79394cfd2b31720be2535a981550",
         (5, 3, 5, 42, 189),
     ),
-    "k10-two-way-retry": (
+    "k10-two-way-certificate": (
         "LOWERBOUND k=1 bag 1 2 3 4 5 6 7 8 9 10",
         "1e68429edd288d5545df93faa3b1b0f02045b3fb710a463af2bf5eba05b7b88f",
-        (2, 1, 0, 2, 26),
+        (1, 1, 0, 1, 13),
     ),
     "ktree2-three-way": (
         "s td 11 6 16",

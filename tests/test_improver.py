@@ -246,6 +246,7 @@ def test_approximate_triangle_k0_lower_bound():
     assert sorted(r.bag) == [0, 1, 2]
     assert len(r.bag) >= 2 * r.k + 3
     assert validate(g, r.td) == []
+    assert r.groups == (2 if len(r.bag) >= 3 * r.k + 4 else 3)
     assert exhaustive_min_split(g, r.td, r.node, r.bag) is None
 
 
@@ -349,6 +350,27 @@ def test_two_way_stats_on_wide_bags():
     assert stats.two_way_passes == 6
 
 
+def test_two_way_failure_is_the_certificate():
+    # the min-degree seed of K_n is one bag of n >= 3k+4 vertices: one
+    # two-way pass fails on it, and that failure is the certificate
+    for n, tables in ((10, 13), (11, 14), (12, 15)):
+        g = clique(n)
+        st = RunStats()
+        r = approximate(g, 1, stats=st)
+        assert isinstance(r, LowerBound), n
+        counts = (st.passes, st.two_way_passes, st.splits, st.moves, st.tables)
+        assert counts == (1, 1, 0, 1, tables), (n, counts)
+        assert r.groups == 2
+        assert sorted(r.bag) == list(range(n))
+        assert exhaustive_min_split(g, r.td, r.node, r.bag, groups=2) is None
+    # below 3k+4 the passes are three-way, and so is the certificate
+    g = grid_graph(4, 4)
+    r = approximate(g, 1)
+    assert isinstance(r, LowerBound)
+    assert len(r.bag) < 3 * 1 + 4
+    assert r.groups == 3
+
+
 def test_structured_families_small():
     assert isinstance(approximate(cycle_graph(8), 2, check=True), Decomposition)
     assert isinstance(approximate(star_graph(9), 1, check=True), Decomposition)
@@ -372,6 +394,7 @@ def test_lower_bound_certificates_oracle_confirmed():
                 assert tw > r.k
                 assert len(r.bag) >= 2 * r.k + 3
                 assert validate(g, r.td) == []
+                assert r.groups == (2 if len(r.bag) >= 3 * r.k + 4 else 3)
                 # no split with a separator of at most k+1 vertices
                 ref = exhaustive_min_split(g, r.td, r.node, r.bag)
                 assert ref is None or ref.objective[0] > r.k + 1
