@@ -21,6 +21,21 @@ largest bag size minus one or the engine's cap, whichever is smaller; nsep
 never falls along a lift or a join, so a capped table is the uncapped one
 with its codes of nsep > cap dropped.
 
+The groups are interchangeable: relabelling the groups of a code keeps its
+split test, nsep and cost, so every table is closed under the 6 relabellings
+of three-way mode and the 2 of two-way mode, and each kernel step commutes
+with them. A table therefore holds one code per orbit (the relabellings of a
+code), the least, which is the canonical code: its groups take the labels 0,
+1, 2 in order of first appearance, smallest vertex first (_canon). Codes are
+made canonical where they are made: a lift canonicalizes each projection
+onto the shared vertices, and an introduce step only the codes whose new
+digit exceeds the groups m its prefix uses (a digit <= m keeps the code
+canonical). A join of two canonical tables over one bag is canonical, and
+the least code of the winning orbit in split_query is its canonical code.
+Tables are keyed by canonical code, but states hold the split's own
+labelling: reading a child back relabels its canonical entries onto the
+parent's labels, so states, splits and edits are those of the full tables.
+
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is one lift
 of the old root plus one join with the table it replaces), query a minimum
@@ -78,6 +93,30 @@ def _pack(code: int, runs: list[tuple[int, int]]) -> int:
     for mask, shift in runs:
         out |= (code & mask) >> shift
     return out
+
+
+def _masks(code: int, lows: int) -> tuple[int, int, int, int]:
+    """The code's groups 0, 1, 2 and separator, each as a mask of digit low
+    bits within lows."""
+    lo = code & lows
+    hi = (code >> 1) & lows
+    sep = lo & hi
+    return lows ^ (lo | hi), lo ^ sep, hi ^ sep, sep
+
+
+def _canon(code: int, lows: int) -> int:
+    """The least code over the relabellings of the groups of code: the
+    groups take the labels 0, 1, 2 in order of first appearance, smallest
+    vertex first. The groups are disjoint, so the one holding the smallest
+    vertex has the largest mask, and an empty group sorts last."""
+    a, b, c, sep = _masks(code, lows)
+    if a < b:
+        a, b = b, a
+    if b < c:
+        b, c = c, b
+        if a < b:
+            b = a
+    return b | c << 1 | sep * SEP
 
 
 def decode(code: int, bag: list[int]) -> tuple[frozenset[int], ...]:
@@ -193,23 +232,29 @@ class SplitEngine:
 
         One pass re-anchors and forgets: costs advance one edge toward i (each
         separator vertex counted in nsep pays 1 unless it is in both bags) and
-        the vertices absent from bag i are projected out, taking minima. The
-        vertices of bag i absent from the child are then introduced.
+        the vertices absent from bag i are projected out, taking minima. A
+        projection can lose the vertex that gave a group its label, so it is
+        put back in canonical form over the frame (the shared vertices) before
+        the minimum is taken: a relabelling keeps the pair, so the least pair
+        of an orbit is the least over its canonical projections. The vertices
+        of bag i absent from the child are then introduced.
         """
         pset = self.bags[i]
         cbag = self.bag_list[child]
         shared = _lows(cbag, pset)
         runs = _keep_runs(cbag, pset)
+        frame = [v for v in cbag if v in pset]
+        flows = _lows(frame)
         out: dict[int, tuple[int, int]] = {}
         for code, (h, d) in self.table[child].items():
             hd = (h, d + h - (code & (code >> 1) & shared).bit_count())
             ncode = 0
             for mask, shift in runs:  # _pack, inlined: once per child code
                 ncode |= (code & mask) >> shift
+            ncode = _canon(ncode, flows)
             old = out.get(ncode)
             if old is None or hd < old:
                 out[ncode] = hd
-        frame = [v for v in cbag if v in pset]
         return self._introduce_all(out, frame, self.bag_list[i])
 
     def _introduce_all(
@@ -222,8 +267,16 @@ class SplitEngine:
         (its two bits agree), group 1 when every neighbour digit has its low
         bit set, group 2 when every one has its high bit set; the separator
         is always allowed while nsep stays within hmax, and adds one to it.
-        Each (code, digit) pair gives a distinct new code, so pairs are passed
-        on, not merged.
+
+        The codes in and out are canonical (see _canon). The digits of the
+        vertices above v, its prefix, are then canonical too and use groups
+        0..m-1 for some m; a digit <= m or the separator at v keeps the code
+        canonical, so only a digit above m needs _canon. Here 0 is always
+        <= m, 1 is unless the prefix is all separators, and 2 is when the
+        prefix holds a 1. A code with no 1 has no 2 either, and its extension
+        by 2 is then a relabelling of its extension by 1, so it is skipped.
+        Two (code, digit) pairs give one canonical code only when they are
+        relabellings of each other, with one pair, so nothing is merged.
         """
         has_edge = self.g.has_edge
         three = self.groups == 3
@@ -242,15 +295,26 @@ class SplitEngine:
             sh = 2 * (size - idx)
             low = (1 << sh) - 1
             one, two, sep = 1 << sh, 2 << sh, SEP << sh
+            plows = _lows(cur_frame[:idx])
+            all_sep = plows * SEP
+            lows = _lows(cur_frame)
+            nlows = lows << 2 | 1
             nxt: dict[int, tuple[int, int]] = {}
             for code, hd in cur.items():
-                stem = (code >> sh) << (sh + 2) | (code & low)
+                pre = code >> sh
+                stem = pre << (sh + 2) | (code & low)
                 if not (code ^ (code >> 1)) & nb:
                     nxt[stem] = hd
                 if code & nb == nb:
-                    nxt[stem | one] = hd
+                    if pre != all_sep:
+                        nxt[stem | one] = hd
+                    else:
+                        nxt[_canon(stem | one, nlows)] = hd
                 if three and (code >> 1) & nb == nb:
-                    nxt[stem | two] = hd
+                    if pre & ~(pre >> 1) & plows:
+                        nxt[stem | two] = hd
+                    elif code & ~(code >> 1) & lows:
+                        nxt[_canon(stem | two, nlows)] = hd
                 h, d = hd
                 if h < hmax:
                     nxt[stem | sep] = (h + 1, d)
@@ -350,10 +414,17 @@ class SplitEngine:
         """Read the split's restrictions to the children of i back from their
         tables, when i has a state (code, h, d) and some child lacks one.
 
-        Each child table is scanned once for the codes that project onto
-        code, their pairs re-anchored as _lift does, and the child takes the
-        least (nsep, cost), then the smallest child code. Every state is the
-        pair of its code, and a join adds the children's lifted pairs, so
+        A state holds the split's own labelling, which need not be canonical,
+        while a table holds one canonical code per orbit and stands for every
+        relabelling of it, with the same pair. Over all those relabellings,
+        the child takes the codes that project onto code, their pairs
+        re-anchored as _lift does, and keeps the least (nsep, cost), then the
+        smallest code. So each canonical entry whose projection is a
+        relabelling of code is relabelled directly: a group that meets the
+        shared vertices takes the label code gives them, and the others take
+        the labels code leaves free, in order, which gives the least code (a
+        canonical code's groups first appear in label order). Every state is
+        the pair of its code, and a join adds the children's lifted pairs, so
         these least pairs add up to (h, d). The final check guards that.
         Builds no table.
         """
@@ -372,15 +443,29 @@ class SplitEngine:
             intro = (seps & (lows ^ _lows(pbag, self.bags[c]))).bit_count()
             ccode = _pack(code, _keep_runs(pbag, self.bags[c]))
             runs, shared = _keep_runs(cbag, pset), _lows(cbag, pset)
+            flows, clows = _lows([v for v in cbag if v in pset]), _lows(cbag)
+            want = _canon(ccode, flows)
+            labels = _masks(ccode, flows)[:3]
+            spare = [j for j in range(self.groups) if not labels[j]]
             best = None
-            for full, (ch, cd) in self.table[c].items():
-                if _pack(full, runs) != ccode:
+            for key, (ch, cd) in self.table[c].items():
+                hd = (ch, cd + ch - (key & (key >> 1) & shared).bit_count())
+                if best is not None and hd > best[:2]:
                     continue
-                cand = (ch, cd + ch - (full & (full >> 1) & shared).bit_count(), full)
+                proj = _pack(key, runs)
+                if _canon(proj, flows) != want:
+                    continue
+                parts, meets = _masks(key, clows), _masks(proj, flows)
+                free = iter(spare)
+                full = parts[3] * SEP
+                for part, meet in zip(parts[:3], meets):
+                    if part:
+                        full |= part * (labels.index(meet) if meet else next(free))
+                cand = (*hd, full, key)
                 if best is None or cand < best:
                     best = cand
-            ch, cost, full = best
-            self.state[c] = (full, *self.table[c][full])
+            ch, cost, full, key = best
+            self.state[c] = (full, *self.table[c][key])
             got_h += ch + intro
             got_d += cost
         if (got_h, got_d) != (h, d):

@@ -5,7 +5,9 @@ code in the table of node i must equal the lexicographically least one over
 every assignment of the subtree vertices to (group1, group2, group3,
 separator) that restricts to `code` on the bag and in which no graph edge
 inside the subtree joins two distinct groups, where h counts the separator
-vertices and d sums their subtree-relative home depths.
+vertices and d sums their subtree-relative home depths. The oracle's full
+table gives every relabelling of the groups of a code the same pair, and the
+engine keeps only the canonical code of each such orbit.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from twapx import (
     TreeDecomposition,
     exhaustive_min_split,
 )
-from twapx.dpengine import SEP, decode
+from twapx.dpengine import SEP, _canon, _lows, decode
 from twapx.splits import is_valid_split
 from twapx.treedec import normalize_degree3
 
@@ -54,10 +56,24 @@ def encode(bag, assign):
     return code
 
 
-def brute_table(g, engine, i):
-    """Independent recomputation of engine.table[i] by full enumeration: every
-    assignment is scored, and only at the end is each code's row of
-    {h: least d} collapsed to its least (h, d)."""
+def relabellings(code, size, groups):
+    """Every code obtained from code, over a bag of size vertices, by a
+    permutation of the group labels 0..groups-1; the separator stays."""
+    digits = [(code >> 2 * (size - 1 - idx)) & 3 for idx in range(size)]
+    out = set()
+    for perm in itertools.permutations(range(groups)):
+        new = 0
+        for digit in digits:
+            new = new << 2 | (SEP if digit == SEP else perm[digit])
+        out.add(new)
+    return out
+
+
+def full_brute_table(g, engine, i):
+    """Independent recomputation of the table of node i over every code, not
+    only the canonical ones, by full enumeration: every assignment is scored,
+    and only at the end is each code's row of {h: least d} collapsed to its
+    least (h, d)."""
     nodes = subtree_nodes(engine, i)
     verts = sorted(set().union(*(engine.bags[j] for j in nodes)))
     # subtree-relative home depth: first sighting on a BFS from i
@@ -100,6 +116,18 @@ def brute_table(g, engine, i):
     return {code: min(slot.items()) for code, slot in table.items()}
 
 
+def brute_table(g, engine, i):
+    """engine.table[i] recomputed: the canonical codes of full_brute_table,
+    after checking that it gives every relabelling of a code its pair."""
+    full = full_brute_table(g, engine, i)
+    size = len(engine.bag_list[i])
+    for code, hd in full.items():
+        for other in relabellings(code, size, engine.groups):
+            assert full.get(other) == hd, (code, other)
+    lows = _lows(engine.bag_list[i])
+    return {code: hd for code, hd in full.items() if _canon(code, lows) == code}
+
+
 def small_instance(rng, nmax=6, extra=None, fat_root=False):
     n = rng.randint(1, nmax)
     g = random_connected_graph(rng, n, rng.randint(0, n if extra is None else extra))
@@ -125,8 +153,9 @@ def test_init_single_vertex_h_cap():
     t = TreeDecomposition([[0]], [], root=0)
     e = SplitEngine(g, t)
     assert e.hmax == 0
-    # width 0: the lone vertex can only be a group vertex, never separator
-    assert sorted(e.table[0]) == [0, 1, 2]
+    # width 0: the lone vertex can only be a group vertex, never separator;
+    # its three groups are relabellings of one another, so one code is kept
+    assert sorted(e.table[0]) == [0]
     assert all(hd == (0, 0) for hd in e.table[0].values())
 
 
@@ -137,10 +166,11 @@ def test_init_width1_has_separator_entries():
     assert e.hmax == 1
     # 3 same-group codes at h=0 plus 6 single-separator codes at h=1;
     # adjacent vertices in distinct groups are rejected, both-separator
-    # needs h=2 > hmax
-    assert len(e.table[0]) == 9
+    # needs h=2 > hmax. Relabelling the groups leaves one code of each kind:
+    # both in group 0, and either vertex the separator beside group 0
+    assert sorted(e.table[0]) == [0b0000, 0b0011, 0b1100]
     hs = sorted(h for h, _d in e.table[0].values())
-    assert hs == [0, 0, 0, 1, 1, 1, 1, 1, 1]
+    assert hs == [0, 1, 1]
 
 
 def test_encode_decode_round_trip():
@@ -156,6 +186,20 @@ def test_encode_decode_round_trip():
     # smallest vertex owns the most significant digit
     assert encode(bag, {0: 3, 2: 0, 3: 0, 5: 0}) == 3 * 4 ** 3
     assert encode(bag, {0: 0, 2: 0, 3: 0, 5: 1}) == 1
+
+
+def test_canon_is_least_relabelling():
+    for size in range(7):
+        lows = _lows(list(range(size)))
+        for code in range(4 ** size):
+            canon = _canon(code, lows)
+            assert canon == min(relabellings(code, size, 3)), (size, code)
+            assert _canon(canon, lows) == canon
+            if (code >> 1) & ~code & lows == 0:
+                # a two-way code: its least relabelling swaps groups 0 and 1
+                # at most, and never makes a digit 2
+                assert canon == min(relabellings(code, size, 2))
+                assert (canon >> 1) & ~canon & lows == 0
 
 
 def test_two_way_encoding_never_uses_group_2():
@@ -422,11 +466,11 @@ def test_propagated_states_form_valid_split(groups):
             e._lift = e._join = e._introduce_all = _no_kernel
             in_place = {i: e.state_query(i) for i in e.bags}
             assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
-            # ... every state read back is a code of its node's table with
-            # that code's (h, d) pair ...
+            # ... every state read back is a relabelling of a code of its
+            # node's table with that code's (h, d) pair ...
             assert set(e.state) == set(e.bags)
             for i, (c, hi, di) in e.state.items():
-                assert e.table[i][c] == (hi, di)
+                assert e.table[i][_canon(c, _lows(e.bag_list[i]))] == (hi, di)
             # ... and the restrictions fuse into one valid split of the root bag
             group = {}
             for parts in in_place.values():
@@ -440,6 +484,70 @@ def test_propagated_states_form_valid_split(groups):
             checked += 1
             three_way_roots += len(e.children[root]) == 3
     assert checked >= 30 and three_way_roots >= 10, (checked, three_way_roots)
+
+
+def reference_read_back(g, e, root):
+    """The split and its read-back by the rule over full tables: the root
+    takes the least (h, d, code) that passes the split test, and each child
+    the least (nsep, re-anchored cost, code) over the codes of its full
+    table that agree with its parent's code on the shared vertices. Returns
+    {node: (code, h, d)}."""
+    full = {i: full_brute_table(g, e, i) for i in e.bags}
+
+    def digits(code, bag):
+        return {v: (code >> 2 * (len(bag) - 1 - idx)) & 3 for idx, v in enumerate(bag)}
+
+    w = e.bag_list[root]
+    best = None
+    for code, (h, d) in full[root].items():
+        own = list(digits(code, w).values())
+        counts = [own.count(j) for j in range(3)]
+        if h + max(counts) < len(w) and (best is None or (h, d, code) < best):
+            best = (h, d, code)
+    if best is None:
+        return None
+    states = {root: (best[2], best[0], best[1])}
+    order = [root]
+    for i in order:
+        parent = digits(states[i][0], e.bag_list[i])
+        for c in e.children[i]:
+            order.append(c)
+            cbag = e.bag_list[c]
+            shared = [v for v in cbag if v in e.bags[i]]
+            pick = None
+            for code, (ch, cd) in full[c].items():
+                own = digits(code, cbag)
+                if any(own[v] != parent[v] for v in shared):
+                    continue
+                cost = cd + ch - sum(1 for v in shared if own[v] == SEP)
+                if pick is None or (ch, cost, code) < pick[:3]:
+                    pick = (ch, cost, code, cd)
+            states[c] = (pick[2], pick[0], pick[3])
+    return states
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_read_back_matches_the_full_table_rule(groups):
+    # tables hold one canonical code per orbit, but the split root's code
+    # and every state read back, code and pair, are what the rule over the
+    # full tables picks
+    rng = random.Random(920 + groups)
+    checked = three_way_roots = 0
+    for _ in range(400):
+        g, t, fat = small_instance(rng, nmax=7, extra=3, fat_root=True)
+        for root in split_roots(t, fat):
+            e = SplitEngine(g, t, root=root, groups=groups)
+            want = reference_read_back(g, e, root)
+            if e.split_query() is None:
+                assert want is None
+                continue
+            assert e.state[root] == want[root]
+            for i in e.bags:
+                e.state_query(i)
+            assert e.state == want
+            checked += 1
+            three_way_roots += len(e.children[root]) == 3
+    assert checked >= 100 and three_way_roots >= 10, (checked, three_way_roots)
 
 
 def test_edit_identity_round_trip():
