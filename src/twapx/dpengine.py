@@ -36,6 +36,12 @@ Tables are keyed by canonical code, but states hold the split's own
 labelling: reading a child back relabels its canonical entries onto the
 parent's labels, so states, splits and edits are those of the full tables.
 
+No table is ever mutated in place: every write stores a new dict. A lift of
+a child table into its parent is therefore kept per tree edge, with the child
+table it came from, and reused for as long as the child holds that very table
+(_lift); edits drop the entries of the nodes they remove and next_pass drops
+them all, so at most one entry per directed tree edge stands.
+
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is one lift
 of the old root plus one join with the table it replaces), query a minimum
@@ -86,6 +92,17 @@ def _keep_runs(bag: list[int], keep: frozenset[int]) -> list[tuple[int, int]]:
     if mask:
         runs.append((mask, 2 * dropped))
     return runs
+
+
+def _projection(
+    cbag: list[int], pset: frozenset[int]
+) -> tuple[list[int], int, list[tuple[int, int]], int]:
+    """How codes over cbag project onto the vertices of cbag in pset, the
+    frame: the frame in bag order, the low bits of its digits within cbag,
+    the _keep_runs that pack a code over cbag onto the frame, and the low
+    bits of the frame's own digits."""
+    frame = [v for v in cbag if v in pset]
+    return frame, _lows(cbag, pset), _keep_runs(cbag, pset), _lows(frame)
 
 
 def _pack(code: int, runs: list[tuple[int, int]]) -> int:
@@ -182,9 +199,11 @@ class SplitEngine:
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, tuple[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
-        # the lift of the old root into the new one, kept by the last _step
-        # as {(child, parent): lifted table} until the next step or edit
-        self._kept: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
+        # {(child, parent): (child table, its lift into parent)}, see _lift
+        self._lifts: dict[
+            tuple[int, int],
+            tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]],
+        ] = {}
         self._next_id = len(t.bags)
 
         self.tables_computed = 0
@@ -236,26 +255,49 @@ class SplitEngine:
         projection can lose the vertex that gave a group its label, so it is
         put back in canonical form over the frame (the shared vertices) before
         the minimum is taken: a relabelling keeps the pair, so the least pair
-        of an orbit is the least over its canonical projections. The vertices
-        of bag i absent from the child are then introduced.
+        of an orbit is the least over its canonical projections. _canon runs
+        once per distinct projection. When the frame is the whole child bag,
+        the projection is the identity and the child's canonical codes stay
+        canonical and distinct, so neither runs. The vertices of bag i absent
+        from the child are then introduced.
+
+        The lift is kept per tree edge in _lifts, with the child table it was
+        made from, and returned again while self.table[child] is that object.
+        That is exact: no table is mutated in place (every write stores a new
+        dict), node ids are never reused, and the entry holds the child table,
+        so its identity cannot pass to another. Besides that table, a lift
+        reads only what a node id fixes (the two bags, the graph, the groups)
+        and hmax, which only next_pass changes; next_pass empties _lifts.
         """
-        pset = self.bags[i]
+        tab = self.table[child]
+        kept = self._lifts.get((child, i))
+        if kept is not None and kept[0] is tab:
+            return kept[1]
         cbag = self.bag_list[child]
-        shared = _lows(cbag, pset)
-        runs = _keep_runs(cbag, pset)
-        frame = [v for v in cbag if v in pset]
-        flows = _lows(frame)
+        frame, shared, runs, flows = _projection(cbag, self.bags[i])
         out: dict[int, tuple[int, int]] = {}
-        for code, (h, d) in self.table[child].items():
-            hd = (h, d + h - (code & (code >> 1) & shared).bit_count())
-            ncode = 0
-            for mask, shift in runs:  # _pack, inlined: once per child code
-                ncode |= (code & mask) >> shift
-            ncode = _canon(ncode, flows)
-            old = out.get(ncode)
-            if old is None or hd < old:
-                out[ncode] = hd
-        return self._introduce_all(out, frame, self.bag_list[i])
+        if len(frame) == len(cbag):
+            for code, hd in tab.items():
+                add = hd[0] - (code & (code >> 1) & shared).bit_count()
+                out[code] = (hd[0], hd[1] + add) if add else hd
+        else:
+            canon: dict[int, int] = {}
+            for code, hd in tab.items():
+                add = hd[0] - (code & (code >> 1) & shared).bit_count()
+                if add:
+                    hd = (hd[0], hd[1] + add)
+                proj = 0
+                for mask, shift in runs:  # _pack, inlined: once per child code
+                    proj |= (code & mask) >> shift
+                ncode = canon.get(proj)
+                if ncode is None:
+                    ncode = canon[proj] = _canon(proj, flows)
+                old = out.get(ncode)
+                if old is None or hd < old:
+                    out[ncode] = hd
+        lifted = self._introduce_all(out, frame, self.bag_list[i])
+        self._lifts[child, i] = (tab, lifted)
+        return lifted
 
     def _introduce_all(
         self, tab: dict[int, tuple[int, int]], frame: list[int], target: list[int]
@@ -349,14 +391,14 @@ class SplitEngine:
         for bag i alone (the child checked the edges among shared vertices,
         the introduce step those at each new vertex) and has nsep at least
         its separator digit count, so joining the local table would return
-        the lifted table unchanged. The lift kept by the last _step is taken
-        instead of re-lifting when its (child, parent) pair comes up.
+        the lifted table unchanged. A child whose table has not changed since
+        its last lift into i is not lifted again (see _lift).
         """
         bag = self.bag_list[i]
         lows = _lows(bag)
         tab = None
         for c in self.children[i]:
-            lifted = self._kept[c, i] if (c, i) in self._kept else self._lift(c, i)
+            lifted = self._lift(c, i)
             tab = lifted if tab is None else self._join(tab, lifted, lows)
         if tab is None:
             tab = self._introduce_all({0: (0, 0)}, [], bag)
@@ -388,8 +430,10 @@ class SplitEngine:
         children's lifts) with one fresh lift of r into s; a leaf s takes
         that lift alone, as _compute_table skips the local table. The join
         is associative and a pair only gains separators as it joins, so the
-        content is what _compute_table(s) would build. The lift is kept for
-        the next _compute_table at s. Two tables are counted.
+        content is what _compute_table(s) would build. A lift whose child
+        table has not changed is reused (see _lift): here the lifts of the
+        remaining children of r, and later the lift of r into s, when the walk
+        leaves s by another edge. Two tables are counted.
         """
         r = self.root
         if self.parent[s] != r:
@@ -402,7 +446,6 @@ class SplitEngine:
         self.table[s] = (
             self._join(self.table[s], lifted, _lows(self.bag_list[s])) if kids else lifted
         )
-        self._kept = {(r, s): lifted}
         self.tables_computed += 1
         kids.append(r)
         kids.sort()
@@ -442,8 +485,8 @@ class SplitEngine:
             cbag = self.bag_list[c]
             intro = (seps & (lows ^ _lows(pbag, self.bags[c]))).bit_count()
             ccode = _pack(code, _keep_runs(pbag, self.bags[c]))
-            runs, shared = _keep_runs(cbag, pset), _lows(cbag, pset)
-            flows, clows = _lows([v for v in cbag if v in pset]), _lows(cbag)
+            _frame, shared, runs, flows = _projection(cbag, pset)
+            clows = _lows(cbag)
             want = _canon(ccode, flows)
             labels = _masks(ccode, flows)[:3]
             spare = [j for j in range(self.groups) if not labels[j]]
@@ -599,8 +642,10 @@ class SplitEngine:
                 if not (0 <= v < self.g.n):
                     raise ContractViolation(f"replacement bag vertex {v} out of range")
 
-        self._kept = {}
         for i in removed:
+            for nb in self._neighbors(i):
+                self._lifts.pop((i, nb), None)
+                self._lifts.pop((nb, i), None)
             del self.bags[i]
             del self.bag_list[i]
             del self.table[i]
@@ -651,7 +696,7 @@ class SplitEngine:
             del part[r]
         self.parent[top] = None
         self.root = top
-        self._kept = {}
+        self._lifts = {}
         hmax = self.hmax
         self._set_width(width)
         if self.hmax < hmax:

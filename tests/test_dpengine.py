@@ -10,6 +10,7 @@ table gives every relabelling of the groups of a code the same pair, and the
 engine keeps only the canonical code of each such orbit.
 """
 
+import copy
 import itertools
 import random
 
@@ -24,12 +25,15 @@ from twapx import (
     exhaustive_min_split,
 )
 from twapx.dpengine import SEP, _canon, _lows, decode
+from twapx.improver import _with_sentinel, reduce_width_pass
 from twapx.splits import is_valid_split
 from twapx.treedec import normalize_degree3
 
 from gen import (
     clique,
+    coarsen,
     cycle_graph,
+    partial_ktree,
     path_graph,
     random_connected_graph,
     random_degree3_decomposition,
@@ -339,6 +343,169 @@ def test_moved_tables_match_brute_force(groups):
                     check_root()
                     steps[leaf] += 1
     assert min(steps.values()) >= 20
+
+
+# Hand-built decompositions whose lifts, from root 0, all take one path of
+# _lift: "identity" has every child bag inside its parent's bag (equal bags
+# included), so the projection is the identity; "memo" has every parent bag
+# a proper subset of its child's, so the projection drops vertices and goes
+# through the per-lift _canon memo. Moving the root to the last node turns
+# some of the edges around. In "memo", 1 meets only 0, so dropping it can
+# lose the label of its group, which _canon restores; and 0 must be a
+# separator when 2 and 3 part, a cost that, from the moved root, an identity
+# lift re-anchors.
+SUBSET_GRAPH = Graph(6, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 4), (4, 5)])
+SUBSET_CASES = {
+    "identity": TreeDecomposition(
+        [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3], [2, 3, 4, 5], [1, 2, 3], [0, 1, 2, 3],
+         [3, 5], [4]],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)],
+        root=0,
+    ),
+    "memo": TreeDecomposition(
+        [[2, 3], [0, 1, 2, 3], [2, 3, 4], [2, 3, 4, 5]],
+        [(0, 1), (0, 2), (2, 3)],
+        root=0,
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("groups", [2, 3])
+@pytest.mark.parametrize("name", sorted(SUBSET_CASES))
+def test_subset_bag_lifts_match_brute_force(name, groups, cap):
+    t = SUBSET_CASES[name]
+    e = SplitEngine(SUBSET_GRAPH, t, root=0, groups=groups, cap=cap)
+    for c, p in e.parent.items():
+        if p is not None:
+            if name == "identity":
+                assert e.bags[c] <= e.bags[p]
+            else:
+                assert e.bags[p] < e.bags[c]
+    for root in (0, len(t.bags) - 1):
+        e.move_to(root)
+        for i in e.bags:
+            assert e.table[i] == brute_table(SUBSET_GRAPH, e, i), (root, i)
+
+
+def deepen(e, toward):
+    """Edit the root bag B into two bags, I - B, where the root's neighbour
+    on the way to node toward attaches to I, the part of B it shares. Seen
+    from that neighbour, the rest of B and everything past it sit one edge
+    deeper: the tables on that side keep their codes, but a cost can grow."""
+    r = e.root
+    path = [toward]
+    while path[-1] != r:
+        path.append(e.parent[path[-1]])
+    up = path[-2]
+    attach = {c: 1 for c in e.children[r]}
+    attach[up] = 0
+    e.edit(EditPlan([r], [e.bags[up] & e.bags[r], e.bags[r]], [(0, 1)], attach, 1))
+
+
+def walk_passes(groups, cap, seed, check):
+    """Width-reduction passes over coarsened partial 1-trees. Each pass is
+    followed by random moves, each with a deepen edit, and then next_pass.
+    check(e, removed) runs after every move, edit and next_pass, with the
+    node ids that call removed."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        g, t = partial_ktree(rng, rng.randint(10, 24), k=1)
+        e = SplitEngine(g, _with_sentinel(coarsen(t, 6)), groups=groups, cap=cap)
+        move_to, edit = e.move_to, e.edit
+
+        def moved(target, e=e, move_to=move_to):
+            move_to(target)
+            check(e, ())
+
+        def edited(plan, e=e, edit=edit):
+            ids = edit(plan)
+            check(e, plan.removed)
+            return ids
+
+        e.move_to, e.edit = moved, edited
+        while True:
+            sentinel = e.root
+            if reduce_width_pass(e) is not None:
+                break
+            for _ in range(3):
+                e.move_to(rng.choice([i for i in sorted(e.bags) if i != sentinel]))
+                deepen(e, sentinel)
+            e.move_to(sentinel)
+            if max(len(b) for b in e.bags.values()) < 5:
+                break
+            e.next_pass()
+            check(e, (sentinel,))
+
+
+def assert_lifts_exact(e, _removed):
+    """Every kept lift whose child still holds the table it was made from is
+    the lift made afresh with nothing kept, and every table is the one built
+    from the leaves up with nothing kept."""
+    fresh = copy.copy(e)
+    fresh._lifts = {}
+    for (c, p), (tab, lifted) in e._lifts.items():
+        if e.table[c] is tab:
+            assert fresh._lift(c, p) == lifted, (c, p)
+    fresh.table, fresh._lifts = {}, {}
+    for i in reversed(subtree_nodes(e, e.root)):
+        fresh._compute_table(i)
+    assert fresh.table == e.table
+
+
+def assert_lifts_on_tree_edges(e, removed):
+    """The kept lifts name no removed node, only tree edges, so there are at
+    most two per edge."""
+    edges = {(c, p) for c, p in e.parent.items() if p is not None}
+    for c, p in e._lifts:
+        assert c not in removed and p not in removed, (c, p, removed)
+        assert (c, p) in edges or (p, c) in edges, (c, p)
+    assert len(e._lifts) <= 2 * (len(e.bags) - 1)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("groups", [2, 3])
+def test_kept_lifts_are_exact(monkeypatch, groups, cap):
+    # a kept lift is reused only while its child holds the very table it
+    # was made from: the walk meets both kinds of kept entry, current and
+    # stale, and every table stays what an engine keeping no lift builds
+    kept_current = {True: 0, False: 0}
+    lift = SplitEngine._lift
+
+    def counted(e, c, p):
+        kept = e._lifts.get((c, p))
+        if kept is not None:
+            kept_current[kept[0] is e.table[c]] += 1
+        return lift(e, c, p)
+
+    monkeypatch.setattr(SplitEngine, "_lift", counted)
+    walk_passes(groups, cap, 930 + groups, assert_lifts_exact)
+    assert kept_current[True] >= 100 and kept_current[False] >= 20, kept_current
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("groups", [2, 3])
+def test_kept_lift_goes_stale_with_its_child_table(groups, cap):
+    # a stale entry of the walk above rarely differs from the fresh lift, so
+    # pin one that does: 2 must be a separator when 0 and 1 part, and an edit
+    # below node 1 moves the home of 2 one edge deeper, so the lift of node 1
+    # into the root changes; a cache that ignored the child table would keep
+    # the old one
+    g = Graph(3, [(0, 2), (1, 2)])
+    t = TreeDecomposition([[0, 1], [0, 1], [0, 1, 2]], [(0, 1), (1, 2)], root=0)
+    e = SplitEngine(g, t, root=0, groups=groups, cap=cap)
+    before = e.table[0]
+    e.move_to(2)
+    deepen(e, 0)
+    e.move_to(0)
+    assert e.table[0] != before
+    for i in e.bags:
+        assert e.table[i] == brute_table(g, e, i), i
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_kept_lifts_stay_on_tree_edges(groups):
+    walk_passes(groups, 2, 940 + groups, assert_lifts_on_tree_edges)
 
 
 def test_split_query_matches_oracle():
