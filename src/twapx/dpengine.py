@@ -39,8 +39,9 @@ parent's labels, so states, splits and edits are those of the full tables.
 No table is ever mutated in place: every write stores a new dict. A lift of
 a child table into its parent is therefore kept per tree edge, with the child
 table it came from, and reused for as long as the child holds that very table
-(_lift); edits drop the entries of the nodes they remove and next_pass drops
-them all, so at most one entry per directed tree edge stands.
+(_lift); edits and next_pass drop the entries of the nodes they remove, and
+next_pass drops them all when it narrows hmax, so at most one entry per
+directed tree edge stands.
 
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is one lift
@@ -49,8 +50,8 @@ split of the root bag, read back per-node restrictions of the chosen split in
 place (one scan of each child table, building no table), and splice a
 replacement subtree over a region containing the root (recomputes only the new
 tables). A split stays active from the query until the next move or edit,
-which end it. Between passes, next_pass drops the empty start leaf at the
-root, narrows hmax to the new width and hangs a new start leaf, so one engine
+which end it. Between passes, next_pass drops the empty start leaf wherever
+it is, narrows hmax to the new width and hangs a new start leaf, so one engine
 serves consecutive passes with the same number of groups.
 """
 
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import permutations
 
 from .errors import ContractViolation
 from .graph import Graph
@@ -66,8 +68,14 @@ from .treedec import TreeDecomposition, validate
 SEP = 3  # separator digit; 0..2 are the component groups
 
 
+def _full_lows(size: int) -> int:
+    """Low bit of every digit of a code over size vertices."""
+    return ((1 << 2 * size) - 1) // 3
+
+
 def _lows(bag: list[int], keep: frozenset[int] | None = None) -> int:
-    """Low bit of the digit of every vertex of bag in keep (default: all)."""
+    """Low bit of the digit of every vertex of bag in keep (default: all);
+    for a whole bag, _full_lows(len(bag)) gives the same."""
     size = len(bag)
     out = 0
     for idx, v in enumerate(bag):
@@ -102,7 +110,7 @@ def _projection(
     the _keep_runs that pack a code over cbag onto the frame, and the low
     bits of the frame's own digits."""
     frame = [v for v in cbag if v in pset]
-    return frame, _lows(cbag, pset), _keep_runs(cbag, pset), _lows(frame)
+    return frame, _lows(cbag, pset), _keep_runs(cbag, pset), _full_lows(len(frame))
 
 
 def _pack(code: int, runs: list[tuple[int, int]]) -> int:
@@ -267,7 +275,8 @@ class SplitEngine:
         dict), node ids are never reused, and the entry holds the child table,
         so its identity cannot pass to another. Besides that table, a lift
         reads only what a node id fixes (the two bags, the graph, the groups)
-        and hmax, which only next_pass changes; next_pass empties _lifts.
+        and hmax, which only next_pass changes; next_pass empties _lifts when
+        it narrows hmax.
         """
         tab = self.table[child]
         kept = self._lifts.get((child, i))
@@ -337,9 +346,9 @@ class SplitEngine:
             sh = 2 * (size - idx)
             low = (1 << sh) - 1
             one, two, sep = 1 << sh, 2 << sh, SEP << sh
-            plows = _lows(cur_frame[:idx])
+            plows = _full_lows(idx)
             all_sep = plows * SEP
-            lows = _lows(cur_frame)
+            lows = _full_lows(size)
             nlows = lows << 2 | 1
             nxt: dict[int, tuple[int, int]] = {}
             for code, hd in cur.items():
@@ -395,7 +404,7 @@ class SplitEngine:
         its last lift into i is not lifted again (see _lift).
         """
         bag = self.bag_list[i]
-        lows = _lows(bag)
+        lows = _full_lows(len(bag))
         tab = None
         for c in self.children[i]:
             lifted = self._lift(c, i)
@@ -444,7 +453,9 @@ class SplitEngine:
         lifted = self._lift(r, s)
         kids = self.children[s]
         self.table[s] = (
-            self._join(self.table[s], lifted, _lows(self.bag_list[s])) if kids else lifted
+            self._join(self.table[s], lifted, _full_lows(len(self.bag_list[s])))
+            if kids
+            else lifted
         )
         self.tables_computed += 1
         kids.append(r)
@@ -462,14 +473,17 @@ class SplitEngine:
         relabelling of it, with the same pair. Over all those relabellings,
         the child takes the codes that project onto code, their pairs
         re-anchored as _lift does, and keeps the least (nsep, cost), then the
-        smallest code. So each canonical entry whose projection is a
-        relabelling of code is relabelled directly: a group that meets the
-        shared vertices takes the label code gives them, and the others take
-        the labels code leaves free, in order, which gives the least code (a
-        canonical code's groups first appear in label order). Every state is
-        the pair of its code, and a join adds the children's lifted pairs, so
-        these least pairs add up to (h, d). The final check guards that.
-        Builds no table.
+        smallest code. An entry stands for such a code exactly when its own
+        projection onto the shared vertices is a relabelling of code there:
+        the group masks of code's part under each permutation of the labels,
+        its separator digits kept, at most 6 codes (2 in two-way mode). Only
+        an entry whose projection is one of them is re-anchored, and it is
+        relabelled directly: a group that meets the shared vertices takes the
+        label code gives them, and the others take the labels code leaves
+        free, in order, which gives the least code (a canonical code's groups
+        first appear in label order). Every state is the pair of its code,
+        and a join adds the children's lifted pairs, so these least pairs add
+        up to (h, d). The final check guards that. Builds no table.
         """
         if i not in self.state:
             return
@@ -478,7 +492,7 @@ class SplitEngine:
             return
         code, h, d = self.state[i]
         pset, pbag = self.bags[i], self.bag_list[i]
-        lows = _lows(pbag)
+        lows = _full_lows(len(pbag))
         seps = code & (code >> 1)
         got_h, got_d = (seps & lows).bit_count() * (1 - len(kids)), 0
         for c in kids:
@@ -486,17 +500,22 @@ class SplitEngine:
             intro = (seps & (lows ^ _lows(pbag, self.bags[c]))).bit_count()
             ccode = _pack(code, _keep_runs(pbag, self.bags[c]))
             _frame, shared, runs, flows = _projection(cbag, pset)
-            clows = _lows(cbag)
-            want = _canon(ccode, flows)
-            labels = _masks(ccode, flows)[:3]
+            clows = _full_lows(len(cbag))
+            *labels, sep = _masks(ccode, flows)
+            wanted = {
+                sep * SEP + sum(m * j for m, j in zip(labels, perm))
+                for perm in permutations(range(self.groups))
+            }
             spare = [j for j in range(self.groups) if not labels[j]]
             best = None
             for key, (ch, cd) in self.table[c].items():
+                proj = 0
+                for mask, shift in runs:  # _pack, inlined: once per child code
+                    proj |= (key & mask) >> shift
+                if proj not in wanted:
+                    continue
                 hd = (ch, cd + ch - (key & (key >> 1) & shared).bit_count())
                 if best is not None and hd > best[:2]:
-                    continue
-                proj = _pack(key, runs)
-                if _canon(proj, flows) != want:
                     continue
                 parts, meets = _masks(key, clows), _masks(proj, flows)
                 free = iter(spare)
@@ -527,7 +546,7 @@ class SplitEngine:
         """
         r = self.root
         wsize = len(self.bag_list[r])
-        lows = _lows(self.bag_list[r])
+        lows = _full_lows(wsize)
         best: tuple[int, int, int] | None = None
         for code, (h, d) in self.table[r].items():
             high = code >> 1
@@ -669,37 +688,43 @@ class SplitEngine:
 
     # ----------------------------------------------------------------- passes
 
-    def next_pass(self) -> None:
+    def next_pass(self, start: int) -> None:
         """Ready the engine for the next pass without rebuilding it.
 
-        The root must be the empty start leaf of the pass just ended, with
-        one child. It is dropped, hmax narrows to the new width (codes of
-        h > hmax are dropped, which is exact, see the module docstring), the
-        pointer moves to the smallest node id of degree <= 2 and a new empty
-        leaf, id _next_id with the constant table {0: (0, 0)}, is hung there
-        and moved to. An empty-bag child's lift is its parent's local table,
-        which leaves the parent's table unchanged, so every table is what a
-        new engine over the same nodes, rooted at that leaf, would build.
-        The counters restart, as for a new engine, and count the two moves
-        and their tables.
+        start must be the empty start leaf of the pass just ended, wherever
+        the pointer is. It is dropped: an empty leaf's lift is its
+        neighbour's local table, which a join leaves unchanged, so no table
+        changes; at the root, its one child takes over. hmax narrows to the
+        new width (codes of h > hmax are dropped, which is exact, see the
+        module docstring), the pointer moves to the smallest node id of
+        degree <= 2 and a new empty leaf, id _next_id with the constant table
+        {0: (0, 0)}, is hung there and moved to. So every table is what a new
+        engine over the same nodes, rooted at that leaf, would build. The
+        kept lifts of the dropped leaf go; when hmax narrows, every table is
+        filtered into a new dict and all of them go. The counters restart,
+        as for a new engine, and count the moves and their tables.
         """
-        r = self.root
-        if self.bags[r] or len(self.children[r]) != 1:
-            raise ContractViolation(f"root {r} is not an empty leaf")
+        if start not in self.bags or self.bags[start] or len(self._neighbors(start)) != 1:
+            raise ContractViolation(f"node {start} is not an empty leaf")
         width = max(len(b) for b in self.bag_list.values()) - 1
         if width > self.width:
             # the tables have dropped the codes a wider pass would need
             raise ContractViolation(f"width grew from {self.width} to {width}")
         self.tables_computed = self.moves = 0
-        top = self.children[r][0]
+        nb = self._neighbors(start)[0]
+        if start == self.root:
+            self.parent[nb] = None
+            self.root = nb
+        else:
+            self.children[nb].remove(start)
         for part in (self.bags, self.bag_list, self.table, self.parent, self.children):
-            del part[r]
-        self.parent[top] = None
-        self.root = top
-        self._lifts = {}
+            del part[start]
+        self._lifts.pop((start, nb), None)
+        self._lifts.pop((nb, start), None)
         hmax = self.hmax
         self._set_width(width)
         if self.hmax < hmax:
+            self._lifts = {}
             keep = self.hmax
             for i, tab in self.table.items():
                 self.table[i] = {c: hd for c, hd in tab.items() if hd[0] <= keep}

@@ -6,8 +6,11 @@ number of such bags per subtree is counted when the pass starts and carried
 over to the new nodes at each edit. Every maximum-size bag it reaches is
 either split (the editable region around it is rewritten into strictly
 smaller bags) or certifies, for bags of size >= 2k+3, that the treewidth
-exceeds k. The outer loop repeats passes, dropping the width by one each
-time, until the width reaches 2k+1 or a bag refuses to split. The tables keep
+exceeds k. The pointer moves only toward the next query: a pass ends at its
+last split, without walking back to the starting bag, and after an edit it
+leaves the new pointer only when the walk would not come straight back to
+it. The outer loop repeats passes, dropping the width by one each time,
+until the width reaches 2k+1 or a bag refuses to split. The tables keep
 separators of at most k+1 vertices, which every such bag has when tw <= k, so
 a bag that a pass cannot split is the certificate: it has no balanced split
 into LowerBound.groups groups with a separator of at most k+1 vertices. One
@@ -339,8 +342,14 @@ def reduce_width_pass(
     of a maximum bag that admits no split with at most engine.hmax separator
     vertices. The walk starts at the pointer, the empty start leaf that
     _with_sentinel and SplitEngine.next_pass put at the root, and descends
-    only into unseen children whose subtree still holds a bag of size > w;
-    closing the start leaf means no such bag is left, which is checked.
+    only into unseen children whose subtree still holds a bag of size > w.
+    It ends at its last split, where the pointer stays: the bags of size > w
+    are counted down at each edit (new bags are all smaller), and once none
+    is left the pass ends, which is checked. After an edit the walk stays at
+    the new pointer when the step up to the border q it hangs from would come
+    straight back: when its subtree holds a bag of size > w and no other
+    unseen neighbour of q does, the walk at q would pick the pointer next, as
+    it has the largest id.
     """
     w = engine.width
     g = engine.g
@@ -348,7 +357,8 @@ def reduce_width_pass(
     path = [sentinel]  # the open nodes, sentinel first, ending at the pointer
     seen = {sentinel}
     big = _count_big(engine, sentinel, w, seen, {})
-    while True:
+    remaining = big[sentinel]  # the bags of size > w
+    while remaining:
         if check:
             _check_open_path(engine, path)
         cur = engine.root
@@ -363,10 +373,9 @@ def reduce_width_pass(
         if check:
             _check_skipped(engine, cur, w, seen)
         if cur == sentinel:
-            left = sum(1 for b in engine.bags.values() if len(b) > w)
-            if left:
-                raise ContractViolation(f"pass ended with {left} bags of size > {w}")
-            return None
+            raise ContractViolation(
+                f"walk closed its start leaf with {remaining} bags of size > {w} left"
+            )
         if len(engine.bags[cur]) <= w:
             path.pop()
             engine.move_to(path[-1])
@@ -392,6 +401,7 @@ def reduce_width_pass(
             pre_hist = sum(1 for b in engine.bags.values() if len(b) == w + 1)
             pre_potential = potential(engine.bags[m] for m in info.nodes)
         plan = build_replacement(engine, info, q)
+        remaining -= sum(1 for m in info.nodes if len(engine.bags[m]) > w)
         new_ids = engine.edit(plan)
         if stats is not None:
             stats.splits += 1
@@ -412,8 +422,21 @@ def reduce_width_pass(
             problems = validate(g, exported)
             if problems:
                 raise ContractViolation("edit broke the decomposition: " + problems[0])
-        engine.move_to(q)
-        _count_big(engine, new_ids[plan.pointer], w, seen, big)
+        if not remaining:
+            break
+        pointer = new_ids[plan.pointer]
+        _count_big(engine, pointer, w, seen, big)
+        if big[pointer] and not any(
+            big[c] for c in engine.children[q] if c not in seen
+        ):
+            seen.add(pointer)
+            path.append(pointer)
+        else:
+            engine.move_to(q)
+    left = sum(1 for b in engine.bags.values() if len(b) > w)
+    if left:
+        raise ContractViolation(f"pass ended with {left} bags of size > {w}")
+    return None
 
 
 def _with_sentinel(t: TreeDecomposition) -> TreeDecomposition:
@@ -472,7 +495,7 @@ def approximate(
             problems = validate(g, t)
             if problems:
                 raise ContractViolation("invalid decomposition: " + problems[0])
-            engine.next_pass()
+            engine.next_pass(sentinel)
         else:
             engine = None  # free the old tables before the new ones are built
             engine = SplitEngine(g, _with_sentinel(t), groups=groups, cap=k + 1)

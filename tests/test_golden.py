@@ -54,7 +54,7 @@ PINNED = {
     "ktree1-two-way": (
         "s td 53 4 16",
         "43f7d3e5c6959a7b736cf9b69dd2df22b56d79394cfd2b31720be2535a981550",
-        (5, 3, 5, 42, 189),
+        (5, 3, 5, 35, 175),
     ),
     "k10-two-way-certificate": (
         "LOWERBOUND k=1 bag 1 2 3 4 5 6 7 8 9 10",
@@ -64,7 +64,7 @@ PINNED = {
     "ktree2-three-way": (
         "s td 11 6 16",
         "07f32d576f83f5d1e20e33aeb44eab904a96e0666104600f540638f27b0ae2f3",
-        (1, 0, 2, 6, 26),
+        (1, 0, 2, 4, 22),
     ),
 }
 

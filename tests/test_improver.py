@@ -121,6 +121,7 @@ def test_check_skipped_rejects_big_bag_below_pointer():
 
 # name -> (path length, bags, tree edges, sentinel, every move_to target in
 #          order, splits, (moves, tables)). Each graph is a path and w = 2.
+# Every pass ends at its last split: the pointer never walks back.
 PRUNED_WALKS = {
     # Node 5 holds the only bag of size 3. The walk tree from the sentinel 7
     # is 7 - 0 - {1 - 2 - 3, 4 - 5 - 6}: the branch below 1 and the child 6
@@ -131,21 +132,23 @@ PRUNED_WALKS = {
         [[3, 4], [2, 3], [1, 2], [0, 1], [4, 5], [5, 6, 7], [7, 8], []],
         [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7)],
         7,
-        [0, 4, 5, 4, 0, 7],
+        [0, 4, 5],
         1,
-        (6, 24),
+        (3, 18),
     ),
     # The split at 1 rewrites its parent 0 (the same bag) too, so the unseen
     # maximum bag 2 becomes a border of the edit; the new nodes above it
-    # carry its count, and the walk goes back down through them to split 2.
+    # carry its count, and the walk goes down through them to split 2. The
+    # new pointer 7 is the only neighbour of the sentinel 5 left to walk,
+    # so the walk stays at 7 rather than step up to 5 and straight back.
     "border-taken-over": (
         7,
         [[2, 3, 4], [2, 3, 4], [4, 5, 6], [1, 2], [0, 1], []],
         [(0, 1), (0, 2), (1, 3), (3, 4), (0, 5)],
         5,
-        [0, 1, 5, 7, 6, 12, 8, 9, 2, 9, 8, 12, 6, 7, 5],
+        [0, 1, 6, 12, 8, 9, 2],
         2,
-        (15, 47),
+        (7, 31),
     ),
     # The walk splits 2 and finishes its parent 1. The split at 3 then
     # rewrites its parent 0 (the same bag) too, so 1 becomes a border of the
@@ -155,9 +158,35 @@ PRUNED_WALKS = {
         [[3, 4, 5], [2, 3], [0, 1, 2], [3, 4, 5], []],
         [(0, 1), (1, 2), (0, 3), (0, 4)],
         4,
-        [0, 1, 2, 1, 0, 3, 4],
+        [0, 1, 2, 1, 0, 3],
         2,
-        (7, 30),
+        (6, 28),
+    ),
+    # The walk tree from the sentinel 6 is 6 - 0 - {1 - {2, 3 - 5}, 4}. The
+    # split at 2 rewrites its parent 1 (the same bag) too; its border 0
+    # becomes q, and the unseen maximum bag 3 hangs below the new pointer 8.
+    # The other unseen neighbour of 0, node 4, holds no bag larger than w, so
+    # the walk stays at 8 and never steps up to 0 and back.
+    "pointer-next": (
+        8,
+        [[1, 2], [2, 3, 4], [2, 3, 4], [4, 5, 6], [0, 1], [6, 7], []],
+        [(0, 1), (1, 2), (1, 3), (0, 4), (3, 5), (0, 6)],
+        6,
+        [0, 1, 2, 7, 13, 9, 10, 3],
+        2,
+        (8, 34),
+    ),
+    # As above, but 4 holds a maximum bag too: it is an older unseen
+    # neighbour of q = 0 than the new pointer 8, so the walk steps up to 0
+    # and splits 4 first, as the walk at 0 picks the smallest id.
+    "older-neighbour-first": (
+        9,
+        [[2, 3], [3, 4, 5], [3, 4, 5], [5, 6, 7], [0, 1, 2], [7, 8], []],
+        [(0, 1), (1, 2), (1, 3), (0, 4), (3, 5), (0, 6)],
+        6,
+        [0, 1, 2, 0, 4, 0, 8, 7, 13, 9, 10, 3],
+        3,
+        (12, 46),
     ),
 }
 
@@ -179,12 +208,50 @@ def test_pass_walks_only_toward_maximum_bags(monkeypatch, name, check):
     assert (e.moves, e.tables_computed) == counts
 
 
+def test_pass_ends_at_its_last_split(monkeypatch):
+    # no move follows a pass's last edit, and no bag above w is left
+    rng = random.Random(667)
+    passes = 0
+    for trial in range(12):
+        k = 1 + trial % 2
+        g, t = partial_ktree(rng, rng.randint(12, 40), k=k)
+        e = SplitEngine(g, _with_sentinel(coarsen(t, 3 * k + 3)), cap=k + 1)
+        events = []
+        move_to, edit = e.move_to, e.edit
+        monkeypatch.setattr(e, "move_to", lambda i: (events.append("move"), move_to(i)))
+        monkeypatch.setattr(e, "edit", lambda plan: (events.append("edit"), edit(plan))[1])
+        while e.width >= 2 * k + 2:
+            sentinel, w = e.root, e.width
+            events.clear()
+            assert reduce_width_pass(e, check=trial < 4) is None
+            assert events[-1] == "edit"
+            assert max(len(b) for b in e.bags.values()) <= w
+            passes += 1
+            e.next_pass(sentinel)
+    assert passes >= 20, passes
+
+
+def assert_matches_a_new_engine(e, g, t, remap, groups, cap):
+    """e, just past next_pass, holds what a new engine over t (an export of
+    e before next_pass, with id map remap) plus a start leaf holds."""
+    fresh = SplitEngine(g, _with_sentinel(t), groups=groups, cap=cap)
+    ids = {**remap, e.root: fresh.root}
+    assert sorted(ids) == sorted(e.bags) and not e.bags[e.root]
+    for i, j in ids.items():
+        assert e.table[i] == fresh.table[j]
+        p = e.parent[i]
+        assert (None if p is None else ids[p]) == fresh.parent[j]
+        assert [ids[c] for c in e.children[i]] == fresh.children[j]
+    assert (e.width, e.hmax) == (fresh.width, fresh.hmax)
+    assert e.tables_computed == 2 * e.moves > 0
+
+
 @pytest.mark.parametrize("groups", [2, 3])
 def test_next_pass_matches_a_new_engine(groups):
     # after each successful pass, the reused engine must hold what a new
     # engine over the export plus a start leaf holds, under the same cap
     rng = random.Random(666)
-    compared = narrowed = 0
+    compared = narrowed = below_root = 0
     for trial in range(10):
         g, t = partial_ktree(rng, rng.randint(10, 30), k=1)
         cap = (None, 2)[trial % 2]
@@ -197,39 +264,54 @@ def test_next_pass_matches_a_new_engine(groups):
             if width(t) < 4:
                 break
             hmax = e.hmax
-            e.next_pass()
-            fresh = SplitEngine(g, _with_sentinel(t), groups=groups, cap=cap)
-            ids = {**remap, e.root: fresh.root}
-            assert sorted(ids) == sorted(e.bags) and not e.bags[e.root]
-            for i, j in ids.items():
-                assert e.table[i] == fresh.table[j]
-                p = e.parent[i]
-                assert (None if p is None else ids[p]) == fresh.parent[j]
-                assert [ids[c] for c in e.children[i]] == fresh.children[j]
-            assert (e.width, e.hmax) == (fresh.width, fresh.hmax)
-            assert e.tables_computed == 2 * e.moves > 0
+            below_root += sentinel != e.root
+            e.next_pass(sentinel)
+            assert_matches_a_new_engine(e, g, t, remap, groups, cap)
             compared += 1
             narrowed += e.hmax < hmax
-    assert compared >= 16 and narrowed >= 8, (compared, narrowed)
+    assert compared >= 16 and narrowed >= 8 and below_root >= 16, (
+        compared, narrowed, below_root)
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_next_pass_drops_a_start_leaf_below_the_root(groups):
+    # the start leaf's lift is its neighbour's local table, which no join
+    # changes: dropping it wherever the pointer stands changes no table
+    rng = random.Random(668)
+    for trial in range(12):
+        g, t = partial_ktree(rng, rng.randint(6, 20), k=1)
+        cap = (None, 2)[trial % 2]
+        e = SplitEngine(g, _with_sentinel(coarsen(t, 5)), groups=groups, cap=cap)
+        sentinel = e.root
+        e.move_to(rng.choice([i for i in sorted(e.bags) if i != sentinel]))
+        t, remap = e.export_decomposition(skip=sentinel)
+        e.next_pass(sentinel)
+        assert sentinel not in e.bags
+        assert_matches_a_new_engine(e, g, t, remap, groups, cap)
 
 
 def test_next_pass_needs_the_empty_start_leaf_at_the_root():
     g = path_graph(3)
     t = TreeDecomposition([[0, 1], [1, 2], []], [(0, 1), (1, 2)], root=0)
     with pytest.raises(ContractViolation):
-        SplitEngine(g, t, root=0).next_pass()
+        SplitEngine(g, t, root=0).next_pass(0)
     between = TreeDecomposition([[0, 1], [], [1, 2]], [(0, 1), (1, 2)], root=1)
     with pytest.raises(ContractViolation):
-        SplitEngine(g, between, root=1).next_pass()
+        SplitEngine(g, between, root=1).next_pass(1)
     e = SplitEngine(g, t, root=2)
-    e.next_pass()
+    e.next_pass(2)
     assert e.root == 3 and 2 not in e.bags
     assert e.parent == {3: None, 0: 3, 1: 0}
+    # the start leaf need not be the root: the pointer may stand anywhere
+    below = SplitEngine(g, t, root=0)
+    below.next_pass(2)
+    assert below.root == 3 and 2 not in below.bags
+    assert below.parent == e.parent and below.table == e.table
     # tables cannot take back rows they never kept: the width may not grow
     e = SplitEngine(g, t, root=2)
     e.edit(EditPlan([2, 1], [[0, 1, 2], []], [(0, 1)], {0: 0}, 1))
     with pytest.raises(ContractViolation):
-        e.next_pass()
+        e.next_pass(4)
 
 
 def test_approximate_path3_k0():
