@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="run validation and invariant assertions after every edit",
+        help="check every split query and edit of every pass (slower)",
     )
 
     vp = sub.add_parser("validate", help="check a .td against a .gr")

@@ -214,8 +214,8 @@ class SplitEngine:
         ] = {}
         self._next_id = len(t.bags)
 
-        self.tables_computed = 0
-        self.moves = 0
+        self.tables_computed = self.moves = 0
+        self.edits = self.bags_inserted = self.bags_removed = 0
 
         for i, bag in enumerate(t.bags):
             self.bags[i] = frozenset(bag)
@@ -597,7 +597,8 @@ class SplitEngine:
 
     def edit(self, plan: EditPlan) -> list[int]:
         """Replace a region by a new subtree; returns engine ids of the new
-        nodes indexed by local id. Only the new tables are computed."""
+        nodes indexed by local id. Only the new tables are computed. Counts
+        the edit and the bags it inserts and removes."""
         removed = set(plan.removed)
         if not removed or self.root not in removed:
             raise ContractViolation("edit region must be nonempty and contain the root")
@@ -684,6 +685,9 @@ class SplitEngine:
             adj_new[ids[loc]].append(border)
         self._orient(adj_new, ids[plan.pointer])
         self.state = {}
+        self.edits += 1
+        self.bags_inserted += nn
+        self.bags_removed += len(removed)
         return ids
 
     # ----------------------------------------------------------------- passes
@@ -711,6 +715,7 @@ class SplitEngine:
             # the tables have dropped the codes a wider pass would need
             raise ContractViolation(f"width grew from {self.width} to {width}")
         self.tables_computed = self.moves = 0
+        self.edits = self.bags_inserted = self.bags_removed = 0
         nb = self._neighbors(start)[0]
         if start == self.root:
             self.parent[nb] = None

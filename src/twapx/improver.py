@@ -6,15 +6,15 @@ number of such bags per subtree is counted when the pass starts and carried
 over to the new nodes at each edit. Every maximum-size bag it reaches is
 either split (the editable region around it is rewritten into strictly
 smaller bags) or certifies, for bags of size >= 2k+3, that the treewidth
-exceeds k. The pointer moves only toward the next query: a pass ends at its
-last split, without walking back to the starting bag, and after an edit it
-leaves the new pointer only when the walk would not come straight back to
-it. The outer loop repeats passes, dropping the width by one each time,
-until the width reaches 2k+1 or a bag refuses to split. The tables keep
-separators of at most k+1 vertices, which every such bag has when tw <= k, so
-a bag that a pass cannot split is the certificate: it has no balanced split
-into LowerBound.groups groups with a separator of at most k+1 vertices. One
-engine serves consecutive passes while the number of groups stays the same.
+exceeds k. A pass ends at its last split, and after an edit it leaves the
+new pointer only when the walk would not come straight back to it. The outer
+loop repeats passes, dropping the width by one each time, until the width
+reaches 2k+1 or a bag refuses to split, which is the certificate: the tables
+keep separators of at most k+1 vertices, and every such bag has a split with
+one when tw <= k. One engine serves consecutive passes while the number of
+groups stays the same. The pass only walks: the engine counts moves, tables
+and edits for RunStats, and check mode is an engine, _CheckedEngine, that
+checks every split query and edit.
 """
 
 from __future__ import annotations
@@ -259,31 +259,6 @@ def _count_big(
     return big
 
 
-def _check_open_path(engine: SplitEngine, path: list[int]) -> None:
-    """Check mode: the walk's open nodes, in the order opened, must be the
-    tree path that ends at the pointer."""
-    if path[-1] != engine.root or len(set(path)) != len(path):
-        raise ContractViolation(
-            f"walk path {path} does not end once at the pointer {engine.root}"
-        )
-    for a, b in zip(path, path[1:]):
-        if engine.parent[a] != b:
-            raise ContractViolation(f"walk step {a} -> {b} is not a tree edge")
-
-
-def _check_skipped(engine: SplitEngine, cur: int, w: int, seen: set[int]) -> None:
-    """Check mode: every child of the pointer cur that the walk leaves unseen
-    must head a subtree with no bag of size > w."""
-    stack = [c for c in engine.children[cur] if c not in seen]
-    while stack:
-        i = stack.pop()
-        if len(engine.bags[i]) > w:
-            raise ContractViolation(
-                f"walk skipped node {i} with a bag of size {len(engine.bags[i])} > {w}"
-            )
-        stack.extend(engine.children[i])
-
-
 def _check_assembled_split(
     g: Graph, w: frozenset[int], info: EditableInfo
 ) -> None:
@@ -310,31 +285,77 @@ def _check_assembled_split(
         raise ContractViolation("assembled assignment is not a valid split")
 
 
-def _check_against_oracle(
-    engine: SplitEngine, cur: int, objective: tuple[int, int] | None
-) -> None:
-    """Check mode, small graphs only: the engine's split objective at the
-    root cur (None: no split) must match the exhaustive oracle's, or be None
-    when the oracle's separator is larger than the engine's hmax."""
-    g = engine.g
-    if g.n > ORACLE_CHECK_MAX_N:
-        return
-    from .oracle import exhaustive_min_split
+class _CheckedEngine(SplitEngine):
+    """Check mode: an engine that asserts, at every query and edit of a
+    pass, what the paper proves of a split.
 
-    exported, remap = engine.export_decomposition()
-    ref = exhaustive_min_split(
-        g, exported, remap[cur], engine.bags[cur], groups=engine.groups
-    )
-    want = None if ref is None or ref.objective[0] > engine.hmax else ref.objective
-    if want != objective:
+    A query's objective (None: no split) must equal the exhaustive oracle's
+    on graphs of at most ORACLE_CHECK_MAX_N vertices, or None when the
+    oracle's separator is larger than hmax; on larger graphs it must equal
+    the objective of a new engine over the exported decomposition, rooted at
+    the same bag. An edit needs the split that find_editable reads to be a
+    valid split of the root bag; it must lower the count of maximum bags
+    (size width + 1), lower the potential by at least the number of bags it
+    removes, and leave a valid decomposition.
+    """
+
+    def split_query(self) -> tuple[int, int] | None:
+        objective = super().split_query()
+        exported, remap = self.export_decomposition()
+        root = remap[self.root]
+        if self.g.n <= ORACLE_CHECK_MAX_N:
+            from .oracle import exhaustive_min_split
+
+            bag = self.bags[self.root]
+            ref = exhaustive_min_split(self.g, exported, root, bag, groups=self.groups)
+            want = None if ref is None or ref.objective[0] > self.hmax else ref.objective
+            source = "oracle"
+        else:
+            fresh = SplitEngine(
+                self.g, exported, root=root, groups=self.groups, cap=self.cap
+            )
+            want = fresh.split_query()
+            source = "a new engine"
+        if want != objective:
+            raise ContractViolation(
+                f"engine split objective {objective} disagrees with {source} {want}"
+            )
+        return objective
+
+    def _maximum_bags(self) -> int:
+        return sum(1 for b in self.bags.values() if len(b) == self.width + 1)
+
+    def edit(self, plan: EditPlan) -> list[int]:
+        _check_assembled_split(self.g, self.bags[self.root], find_editable(self))
+        pre_max = self._maximum_bags()
+        drop = potential(self.bags[m] for m in plan.removed) - potential(plan.bags)
+        ids = super().edit(plan)
+        post_max = self._maximum_bags()
+        if post_max >= pre_max:
+            raise ContractViolation(
+                f"count of maximum bags did not decrease ({pre_max} -> {post_max})"
+            )
+        if drop < len(plan.removed):
+            raise ContractViolation(
+                f"potential dropped by {drop} < t = {len(plan.removed)}"
+            )
+        problems = validate(self.g, self.export_decomposition()[0])
+        if problems:
+            raise ContractViolation("edit broke the decomposition: " + problems[0])
+        return ids
+
+
+def _move_back(engine: SplitEngine, target: int) -> None:
+    """Move the pointer to the open node target, which must be a child of
+    the pointer, so that the open nodes stay the tree path to the pointer."""
+    if engine.parent[target] != engine.root:
         raise ContractViolation(
-            f"engine split objective {objective} disagrees with oracle {want}"
+            f"walk step back to {target} is not a child of the pointer {engine.root}"
         )
+    engine.move_to(target)
 
 
-def reduce_width_pass(
-    engine: SplitEngine, check: bool = False, stats: RunStats | None = None
-) -> int | None:
+def reduce_width_pass(engine: SplitEngine) -> int | None:
     """One depth-first width-reduction pass.
 
     Returns None when every bag ends at size <= w (w = engine.width, the
@@ -343,24 +364,27 @@ def reduce_width_pass(
     vertices. The walk starts at the pointer, the empty start leaf that
     _with_sentinel and SplitEngine.next_pass put at the root, and descends
     only into unseen children whose subtree still holds a bag of size > w.
-    It ends at its last split, where the pointer stays: the bags of size > w
-    are counted down at each edit (new bags are all smaller), and once none
-    is left the pass ends, which is checked. After an edit the walk stays at
-    the new pointer when the step up to the border q it hangs from would come
-    straight back: when its subtree holds a bag of size > w and no other
-    unseen neighbour of q does, the walk at q would pick the pointer next, as
-    it has the largest id.
+    Its open nodes form the tree path from the start leaf to the pointer: a
+    forward step picks a child, and each move back to an open node must step
+    to a child of the pointer. The walk ends at its last split, where
+    the pointer stays: the bags of size > w are counted down at each edit
+    (new bags are all smaller), and once none is left the pass ends. A
+    subtree skipped while it holds such a bag raises: either the count never
+    reaches 0 and the walk closes its start leaf, or the count was short too,
+    and the scan at the end of the pass finds the bag. After an edit the walk
+    stays at the new pointer when the step up to the border q it hangs from
+    would come straight back: when its subtree holds a bag of size > w and no
+    other unseen neighbour of q does, the walk at q would pick the pointer
+    next, as it has the largest id. The engine counts the moves, tables and
+    edits, and _CheckedEngine adds the per-split assertions.
     """
     w = engine.width
-    g = engine.g
     sentinel = engine.root
     path = [sentinel]  # the open nodes, sentinel first, ending at the pointer
     seen = {sentinel}
     big = _count_big(engine, sentinel, w, seen, {})
     remaining = big[sentinel]  # the bags of size > w
     while remaining:
-        if check:
-            _check_open_path(engine, path)
         cur = engine.root
         nxt = next(
             (c for c in engine.children[cur] if c not in seen and big[c]), None
@@ -370,19 +394,15 @@ def reduce_width_pass(
             path.append(nxt)
             engine.move_to(nxt)
             continue
-        if check:
-            _check_skipped(engine, cur, w, seen)
         if cur == sentinel:
             raise ContractViolation(
                 f"walk closed its start leaf with {remaining} bags of size > {w} left"
             )
         if len(engine.bags[cur]) <= w:
             path.pop()
-            engine.move_to(path[-1])
+            _move_back(engine, path[-1])
             continue
         objective = engine.split_query()
-        if check:
-            _check_against_oracle(engine, cur, objective)
         if objective is None:
             return cur
         info = find_editable(engine)
@@ -391,37 +411,13 @@ def reduce_width_pass(
                 f"collected separator has {len(info.x_full)} vertices, "
                 f"expected {objective[0]}"
             )
-        if check:
-            _check_assembled_split(g, engine.bags[cur], info)
         rset = set(info.nodes)
         while path[-1] in rset:
             path.pop()
         q = path[-1]
-        if check:
-            pre_hist = sum(1 for b in engine.bags.values() if len(b) == w + 1)
-            pre_potential = potential(engine.bags[m] for m in info.nodes)
         plan = build_replacement(engine, info, q)
         remaining -= sum(1 for m in info.nodes if len(engine.bags[m]) > w)
         new_ids = engine.edit(plan)
-        if stats is not None:
-            stats.splits += 1
-            stats.inserted += len(new_ids)
-            stats.removed += len(info.nodes)
-        if check:
-            post_hist = sum(1 for b in engine.bags.values() if len(b) == w + 1)
-            if post_hist >= pre_hist:
-                raise ContractViolation(
-                    f"count of maximum bags did not decrease ({pre_hist} -> {post_hist})"
-                )
-            drop = pre_potential - potential(plan.bags)
-            if drop < len(info.nodes):
-                raise ContractViolation(
-                    f"potential dropped by {drop} < t = {len(info.nodes)}"
-                )
-            exported, _ = engine.export_decomposition()
-            problems = validate(g, exported)
-            if problems:
-                raise ContractViolation("edit broke the decomposition: " + problems[0])
         if not remaining:
             break
         pointer = new_ids[plan.pointer]
@@ -432,7 +428,7 @@ def reduce_width_pass(
             seen.add(pointer)
             path.append(pointer)
         else:
-            engine.move_to(q)
+            _move_back(engine, q)
     left = sum(1 for b in engine.bags.values() if len(b) > w)
     if left:
         raise ContractViolation(f"pass ended with {left} bags of size > {w}")
@@ -489,7 +485,8 @@ def approximate(
             raise ValueError("starting decomposition invalid: " + problems[0])
         t = t0
     engine: SplitEngine | None = None
-    while width(t) >= 2 * k + 2:
+    bad = None
+    while bad is None and width(t) >= 2 * k + 2:
         groups = _groups(width(t) + 1, k)
         if engine is not None and engine.groups == groups:
             problems = validate(g, t)
@@ -498,26 +495,24 @@ def approximate(
             engine.next_pass(sentinel)
         else:
             engine = None  # free the old tables before the new ones are built
-            engine = SplitEngine(g, _with_sentinel(t), groups=groups, cap=k + 1)
+            engine = (_CheckedEngine if check else SplitEngine)(
+                g, _with_sentinel(t), groups=groups, cap=k + 1
+            )
         sentinel = engine.root
-        bad = reduce_width_pass(engine, check=check, stats=st)
+        bad = reduce_width_pass(engine)
         st.passes += 1
-        if groups == 2:
-            st.two_way_passes += 1
+        st.two_way_passes += groups == 2
+        st.splits += engine.edits
+        st.inserted += engine.bags_inserted
+        st.removed += engine.bags_removed
         st.moves += engine.moves
         st.tables += engine.tables_computed
-        exported, remap = engine.export_decomposition(skip=sentinel)
-        if bad is not None:
-            st.outcome = "lower-bound"
-            st.width = width(exported)
-            st.wall_time_s = time.monotonic() - start
-            return LowerBound(k=k, td=exported, node=remap[bad])
-        t = exported
+        t, remap = engine.export_decomposition(skip=sentinel)
     if check:
         problems = validate(g, t)
         if problems:
             raise ContractViolation("result decomposition invalid: " + problems[0])
-    st.outcome = "decomposition"
+    st.outcome = "decomposition" if bad is None else "lower-bound"
     st.width = width(t)
     st.wall_time_s = time.monotonic() - start
-    return Decomposition(td=t)
+    return Decomposition(td=t) if bad is None else LowerBound(k, t, remap[bad])

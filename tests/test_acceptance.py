@@ -415,11 +415,12 @@ def test_criterion_7_format_fidelity():
 
 
 def test_criterion_8_dfs_invariants(checked_runs):
-    # Check mode verifies after every pass step that the open nodes form a
-    # root-anchored path, and that every subtree the walk skips holds no
-    # maximum-size bag; every pass ends by checking that no maximum-size bag
-    # is left. A violation raises. Passing runs with real pass counts prove
-    # it held.
+    # Every run checks that each move of the walk back to an open node steps
+    # to a child of the pointer, which keeps the open nodes a path from the
+    # start leaf, and that no maximum-size bag is left when a pass ends, which
+    # catches a skipped subtree that still held one; check mode adds its query
+    # and edit checks. A violation raises. Passing runs with real pass counts
+    # prove it held.
     passes = sum(st.passes for *_rest, st in checked_runs)
     moves = sum(st.moves for *_rest, st in checked_runs)
     assert passes >= 1000, f"only {passes} passes exercised"

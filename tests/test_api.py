@@ -1,6 +1,11 @@
 """The package root exports exactly the documented API."""
 
+import re
+from pathlib import Path
+
 import twapx
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_root_exports_only_the_documented_names():
@@ -27,3 +32,9 @@ def test_root_exports_only_the_documented_names():
     ]
     for name in twapx.__all__:
         assert hasattr(twapx, name), name
+
+
+def test_readme_names_every_export():
+    text = README.read_text(encoding="utf-8")
+    missing = [n for n in twapx.__all__ if not re.search(rf"`{n}\b", text)]
+    assert missing == [], missing

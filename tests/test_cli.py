@@ -2,6 +2,7 @@
 subprocess round-trip."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import twapx
-from twapx import emit_gr, parse_td, validate, width
+from twapx import emit_gr, emit_td, parse_td, validate, width
 from twapx.cli import run_cli
 
-from gen import clique, path_graph
+from gen import clique, coarsen, partial_ktree, path_graph
 
 P3_GR = "p tw 3 2\n1 2\n2 3\n"
 K3_GR = "p tw 3 3\n1 2\n1 3\n2 3\n"
@@ -108,6 +109,22 @@ def test_approx_stats_lines(p3, capsys):
         "tables",
         "wall_time_s",
     ]
+
+
+def test_approx_check_past_the_oracle_prints_the_same(tmp_path, capsys):
+    # at n = 40 check mode compares each query with a new engine's
+    g, t = partial_ktree(random.Random(41), 40, k=2)
+    gr, td = tmp_path / "g.gr", tmp_path / "seed.td"
+    gr.write_text(emit_gr(g))
+    td.write_text(emit_td(coarsen(t, 8)))
+    runs = []
+    for extra in ([], ["--check"]):
+        rc = run_cli(["approx", "--graph", str(gr), "--k", "2", "--td", str(td), *extra])
+        runs.append((rc, capsys.readouterr()))
+    (rc, plain), (rc_checked, checked) = runs
+    assert rc == rc_checked == 0
+    assert (checked.out, checked.err) == (plain.out, plain.err)
+    assert parse_td(plain.out).bags != coarsen(t, 8).bags
 
 
 def test_approx_with_seed_td(p3, tmp_path, capsys):

@@ -19,9 +19,10 @@ from twapx import (
     validate,
     width,
 )
+from twapx import improver
 from twapx.improver import (
-    _check_open_path,
-    _check_skipped,
+    _CheckedEngine,
+    _move_back,
     _with_sentinel,
     build_replacement,
     find_editable,
@@ -96,27 +97,15 @@ def test_find_editable_without_split_raises():
         find_editable(e)
 
 
-def test_check_open_path_rejects_broken_walks():
+def test_step_back_needs_a_child_of_the_pointer():
     g = path_graph(4)
     t = TreeDecomposition([[0, 1], [1, 2], [2, 3]], [(0, 1), (1, 2)], root=0)
     e = SplitEngine(g, t, root=2)
-    _check_open_path(e, [0, 1, 2])  # the tree path down to the pointer
-    with pytest.raises(ContractViolation, match="does not end"):
-        _check_open_path(e, [0, 1])
-    with pytest.raises(ContractViolation, match="does not end"):
-        _check_open_path(e, [1, 2, 1, 2])
-    with pytest.raises(ContractViolation, match="not a tree edge"):
-        _check_open_path(e, [0, 2])
-
-
-def test_check_skipped_rejects_big_bag_below_pointer():
-    g = path_graph(5)
-    t = TreeDecomposition([[0, 1], [1, 2], [2, 3, 4]], [(0, 1), (1, 2)], root=0)
-    e = SplitEngine(g, t, root=0)
-    _check_skipped(e, 0, 2, {0, 1})  # the only child is seen
-    _check_skipped(e, 0, 3, {0})  # no bag is larger than 3
-    with pytest.raises(ContractViolation, match="skipped node 2"):
-        _check_skipped(e, 0, 2, {0})  # the size-3 bag sits below child 1
+    with pytest.raises(ContractViolation, match="not a child of the pointer 2"):
+        _move_back(e, 0)  # two edges away
+    assert (e.root, e.moves) == (2, 0)
+    _move_back(e, 1)
+    assert e.root == 1
 
 
 # name -> (path length, bags, tree edges, sentinel, every move_to target in
@@ -196,16 +185,47 @@ PRUNED_WALKS = {
 def test_pass_walks_only_toward_maximum_bags(monkeypatch, name, check):
     n, bags, edges, sentinel, want, splits, counts = PRUNED_WALKS[name]
     t = TreeDecomposition(bags, edges, root=sentinel)
-    e = SplitEngine(path_graph(n), t, root=sentinel)
+    e = (_CheckedEngine if check else SplitEngine)(path_graph(n), t, root=sentinel)
     visited = []
-    move_to = e.move_to
+    edited = [0, 0]
+    move_to, edit = e.move_to, e.edit
     monkeypatch.setattr(e, "move_to", lambda i: (visited.append(i), move_to(i)))
-    stats = RunStats()
-    assert reduce_width_pass(e, check=check, stats=stats) is None
-    assert stats.splits == splits
+
+    def counted_edit(plan):
+        ids = edit(plan)
+        edited[0] += len(ids)
+        edited[1] += len(plan.removed)
+        return ids
+
+    monkeypatch.setattr(e, "edit", counted_edit)
+    assert reduce_width_pass(e) is None
+    assert (e.edits, e.bags_inserted, e.bags_removed) == (splits, *edited)
     assert max(len(b) for b in e.bags.values()) == 2
     assert visited == want
     assert (e.moves, e.tables_computed) == counts
+
+
+@pytest.mark.parametrize("hidden", ["subtree", "everywhere"])
+def test_pass_raises_on_a_hidden_maximum_bag(monkeypatch, hidden):
+    # node 5 holds the only bag above w = 2; hiding it from the subtree
+    # counts leaves the walk to close its start leaf, and hiding it from
+    # every count leaves it to the scan at the end of the pass
+    n, bags, edges, sentinel, *_rest = PRUNED_WALKS["one-branch"]
+    e = SplitEngine(path_graph(n), TreeDecomposition(bags, edges, root=sentinel))
+    count_big = improver._count_big
+
+    def hiding(engine, top, w, seen, big):
+        count_big(engine, top, w, seen, big)
+        big[5] = 0
+        if hidden == "everywhere":
+            for i in (4, 0, sentinel):
+                big[i] -= 1
+        return big
+
+    monkeypatch.setattr(improver, "_count_big", hiding)
+    want = "closed its start leaf" if hidden == "subtree" else "pass ended with 1"
+    with pytest.raises(ContractViolation, match=want):
+        reduce_width_pass(e)
 
 
 def test_pass_ends_at_its_last_split(monkeypatch):
@@ -215,7 +235,8 @@ def test_pass_ends_at_its_last_split(monkeypatch):
     for trial in range(12):
         k = 1 + trial % 2
         g, t = partial_ktree(rng, rng.randint(12, 40), k=k)
-        e = SplitEngine(g, _with_sentinel(coarsen(t, 3 * k + 3)), cap=k + 1)
+        engine = _CheckedEngine if trial < 4 else SplitEngine
+        e = engine(g, _with_sentinel(coarsen(t, 3 * k + 3)), cap=k + 1)
         events = []
         move_to, edit = e.move_to, e.edit
         monkeypatch.setattr(e, "move_to", lambda i: (events.append("move"), move_to(i)))
@@ -223,12 +244,52 @@ def test_pass_ends_at_its_last_split(monkeypatch):
         while e.width >= 2 * k + 2:
             sentinel, w = e.root, e.width
             events.clear()
-            assert reduce_width_pass(e, check=trial < 4) is None
+            assert reduce_width_pass(e) is None
             assert events[-1] == "edit"
             assert max(len(b) for b in e.bags.values()) <= w
             passes += 1
             e.next_pass(sentinel)
     assert passes >= 20, passes
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_run_stats_add_up_the_engine_counters(monkeypatch, check):
+    # two-way passes from width 9, then three-way ones on a new engine
+    g, t = partial_ktree(random.Random(669), 40, k=2)
+    counted = []
+    run_pass = improver.reduce_width_pass
+
+    def counting_pass(engine):
+        bad = run_pass(engine)
+        counted.append((engine.edits, engine.bags_inserted, engine.bags_removed,
+                        engine.moves, engine.tables_computed))
+        return bad
+
+    monkeypatch.setattr(improver, "reduce_width_pass", counting_pass)
+    st = RunStats()
+    r = approximate(g, 2, t0=coarsen(t, 10), check=check, stats=st)
+    assert isinstance(r, Decomposition)
+    assert st.passes == len(counted) >= 3 and 0 < st.two_way_passes < st.passes
+    totals = tuple(map(sum, zip(*counted)))
+    assert (st.splits, st.inserted, st.removed, st.moves, st.tables) == totals
+
+
+def test_check_mode_catches_a_wrong_root_table_past_the_oracle(monkeypatch):
+    # past ORACLE_CHECK_MAX_N a new engine over the export checks each query:
+    # lowering the cost of the winning code of one root table must raise
+    g, t = partial_ktree(random.Random(670), 40, k=2)
+    query = _CheckedEngine.split_query
+
+    def corrupted(self):
+        if SplitEngine.split_query(self) is not None:
+            code, h, d = self.state[self.root]
+            self.table[self.root] = {**self.table[self.root], code: (h, d - 1)}
+        return query(self)
+
+    monkeypatch.setattr(_CheckedEngine, "split_query", corrupted)
+    assert g.n > improver.ORACLE_CHECK_MAX_N
+    with pytest.raises(ContractViolation, match="disagrees with a new engine"):
+        approximate(g, 2, t0=coarsen(t, 7), check=True)
 
 
 def assert_matches_a_new_engine(e, g, t, remap, groups, cap):
