@@ -30,22 +30,28 @@ code), the least, which is the canonical code: its groups take the labels 0,
 made canonical where they are made: a lift canonicalizes each projection
 onto the shared vertices, and an introduce step only the codes whose new
 digit exceeds the groups m its prefix uses (a digit <= m keeps the code
-canonical). A join of two canonical tables over one bag is canonical, and
-the least code of the winning orbit in split_query is its canonical code.
+canonical). A join of two canonical tables over one bag is canonical, and so
+is a fold, which keeps codes of the table it folds into, and the least code
+of the winning orbit in split_query is its canonical code.
 Tables are keyed by canonical code, but states hold the split's own
 labelling: reading a child back relabels its canonical entries onto the
 parent's labels, so states, splits and edits are those of the full tables.
 
-No table is ever mutated in place: every write stores a new dict. A lift of
-a child table into its parent is therefore kept per tree edge, with the child
-table it came from, and reused for as long as the child holds that very table
-(_lift); edits and next_pass drop the entries of the nodes they remove, and
-next_pass drops them all when it narrows hmax, so at most one entry per
-directed tree edge stands.
+A node's table is one child's lift with every other child folded in: a fold
+looks each code up, projected onto the shared vertices, in the child's
+forgotten table (its table re-anchored and projected onto those vertices),
+so that child's lift is never introduced up to the whole parent bag (_fold).
+No table is ever mutated in place: every write stores a new dict. So each
+tree edge keeps one entry, with the child table it came from, its forgotten
+table, the introduced lift once one is made, and the plans that pack codes
+onto the shared vertices, and reuses it for as long as the child holds that
+very table (_forget); edits and next_pass drop the entries of the nodes they
+remove, and next_pass drops them all when it narrows hmax, so at most one
+entry per directed tree edge stands.
 
 Supported operations: re-root one edge at a time (two tables per step: the
-old root's is rebuilt from its remaining children, the new root's is one lift
-of the old root plus one join with the table it replaces), query a minimum
+old root's is rebuilt from its remaining children, the new root's is the
+table it replaces with one fold of the old root's), query a minimum
 split of the root bag, read back per-node restrictions of the chosen split in
 place (one scan of each child table, building no table), and splice a
 replacement subtree over a region containing the root (recomputes only the new
@@ -66,6 +72,10 @@ from .graph import Graph
 from .treedec import TreeDecomposition, validate
 
 SEP = 3  # separator digit; 0..2 are the component groups
+
+# a kept tree edge (child, parent), see SplitEngine._forget: (child table,
+# forgotten table, frame, introduced lift or None, pack plan)
+_Edge = tuple[dict, dict, list, "dict | None", list]
 
 
 def _full_lows(size: int) -> int:
@@ -207,11 +217,7 @@ class SplitEngine:
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, tuple[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
-        # {(child, parent): (child table, its lift into parent)}, see _lift
-        self._lifts: dict[
-            tuple[int, int],
-            tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]],
-        ] = {}
+        self._lifts: dict[tuple[int, int], _Edge] = {}  # see _forget
         self._next_id = len(t.bags)
 
         self.tables_computed = self.moves = 0
@@ -254,36 +260,47 @@ class SplitEngine:
 
     # ----------------------------------------------------------------- tables
 
-    def _lift(self, child: int, i: int) -> dict[int, tuple[int, int]]:
-        """Child table re-expressed over the bag of i.
+    def _forget(self, child: int, i: int) -> _Edge:
+        """The kept entry of the tree edge (child, i), made afresh unless it
+        was made from the table child holds now.
 
-        One pass re-anchors and forgets: costs advance one edge toward i (each
-        separator vertex counted in nsep pays 1 unless it is in both bags) and
-        the vertices absent from bag i are projected out, taking minima. A
+        An entry is (child table, its forgotten table, frame, introduced lift
+        or None, pack plan). The forgotten table is the child table
+        re-anchored and projected onto the frame, the vertices shared with
+        bag i, in one pass: costs advance one edge toward i (each separator
+        vertex counted in nsep pays 1 unless it is in both bags) and the
+        vertices absent from bag i are projected out, taking minima. A
         projection can lose the vertex that gave a group its label, so it is
-        put back in canonical form over the frame (the shared vertices) before
-        the minimum is taken: a relabelling keeps the pair, so the least pair
-        of an orbit is the least over its canonical projections. _canon runs
-        once per distinct projection. When the frame is the whole child bag,
-        the projection is the identity and the child's canonical codes stay
-        canonical and distinct, so neither runs. The vertices of bag i absent
-        from the child are then introduced.
+        put back in canonical form over the frame before the minimum is
+        taken: a relabelling keeps the pair, so the least pair of an orbit is
+        the least over its canonical projections. _canon runs once per
+        distinct projection. When the frame is the whole child bag, the
+        projection is the identity and the child's canonical codes stay
+        canonical and distinct, so neither runs.
 
-        The lift is kept per tree edge in _lifts, with the child table it was
-        made from, and returned again while self.table[child] is that object.
-        That is exact: no table is mutated in place (every write stores a new
-        dict), node ids are never reused, and the entry holds the child table,
-        so its identity cannot pass to another. Besides that table, a lift
-        reads only what a node id fixes (the two bags, the graph, the groups)
-        and hmax, which only next_pass changes; next_pass empties _lifts when
-        it narrows hmax.
+        The pack plan depends on the two bags alone and passes from an entry
+        to the next: the child side (_projection's shared lows, runs and
+        frame lows) is made with the first entry, the parent side (_keep_runs
+        and _lows of bag i onto the frame) on first use (_parent_plan).
+
+        Reusing an entry is exact: no table is mutated in place (every write
+        stores a new dict), node ids are never reused, and the entry holds the
+        child table, so its identity cannot pass to another. Besides that
+        table, an entry reads only what a node id fixes (the two bags, the
+        graph, the groups) and hmax, which only next_pass changes; next_pass
+        empties _lifts when it narrows hmax.
         """
         tab = self.table[child]
         kept = self._lifts.get((child, i))
         if kept is not None and kept[0] is tab:
-            return kept[1]
+            return kept
         cbag = self.bag_list[child]
-        frame, shared, runs, flows = _projection(cbag, self.bags[i])
+        if kept is None:
+            frame, shared, runs, flows = _projection(cbag, self.bags[i])
+            plan = [shared, runs, flows, None, None]
+        else:
+            frame, plan = kept[2], kept[4]
+            shared, runs, flows = plan[0], plan[1], plan[2]
         out: dict[int, tuple[int, int]] = {}
         if len(frame) == len(cbag):
             for code, hd in tab.items():
@@ -304,9 +321,74 @@ class SplitEngine:
                 old = out.get(ncode)
                 if old is None or hd < old:
                     out[ncode] = hd
-        lifted = self._introduce_all(out, frame, self.bag_list[i])
-        self._lifts[child, i] = (tab, lifted)
+        entry = self._lifts[child, i] = (tab, out, frame, None, plan)
+        return entry
+
+    def _parent_plan(
+        self, plan: list, child: int, i: int
+    ) -> tuple[list[tuple[int, int]], int]:
+        """The parent side of an edge's pack plan: the _keep_runs that pack a
+        code over bag i onto the frame, and the low bits of the frame's
+        digits within bag i. Made on first use and kept in the plan."""
+        if plan[3] is None:
+            pbag, cset = self.bag_list[i], self.bags[child]
+            plan[3], plan[4] = _keep_runs(pbag, cset), _lows(pbag, cset)
+        return plan[3], plan[4]
+
+    def _lift(self, child: int, i: int) -> dict[int, tuple[int, int]]:
+        """Child table re-expressed over the bag of i: its forgotten table
+        (_forget) with the vertices of bag i absent from the child
+        introduced. The introduced lift is kept in the edge's entry and
+        returned again while the entry stands."""
+        entry = self._forget(child, i)
+        lifted = entry[3]
+        if lifted is None:
+            tab, out, frame, _none, plan = entry
+            lifted = self._introduce_all(out, frame, self.bag_list[i])
+            self._lifts[child, i] = (tab, out, frame, lifted, plan)
         return lifted
+
+    def _fold(
+        self, tab: dict[int, tuple[int, int]], child: int, i: int
+    ) -> dict[int, tuple[int, int]]:
+        """tab, a table over bag i, joined with the lift of child into i,
+        without introducing that lift.
+
+        Each code of tab is packed onto the frame and looked up, in canonical
+        form, in the child's forgotten table (the lookup is memoised per
+        packed code): h = h1 + h2 - the separator digits of the frame, and
+        d = d1 + d2. That is _join(tab, _lift(child, i)): a code of tab
+        already satisfies every edge of bag i, which is all the introduce
+        step checks, and its separators off the frame, which the introduce
+        step would add to h2, the join takes off again; the introduce step's
+        cap only drops codes whose join would pass hmax too. When the
+        introduced lift is kept, or the frame is the whole bag i (the lift is
+        then the forgotten table), this is a plain _join with it.
+        """
+        _tab, proj, frame, lifted, plan = self._forget(child, i)
+        pbag = self.bag_list[i]
+        if lifted is not None or len(frame) == len(pbag):
+            return self._join(tab, self._lift(child, i), _full_lows(len(pbag)))
+        runs = self._parent_plan(plan, child, i)[0]
+        flows = plan[2]
+        hmax = self.hmax
+        memo: dict[int, tuple[int, int] | None] = {}
+        out: dict[int, tuple[int, int]] = {}
+        for code, (h1, d1) in tab.items():
+            p = 0
+            for mask, shift in runs:  # _pack, inlined: once per code
+                p |= (code & mask) >> shift
+            hit = memo.get(p, False)
+            if hit is False:
+                other = proj.get(_canon(p, flows))
+                if other is not None:
+                    other = (other[0] - (p & (p >> 1) & flows).bit_count(), other[1])
+                hit = memo[p] = other
+            if hit is not None:
+                h = h1 + hit[0]
+                if h <= hmax:
+                    out[code] = (h, d1 + hit[1])
+        return out
 
     def _introduce_all(
         self, tab: dict[int, tuple[int, int]], frame: list[int], target: list[int]
@@ -392,7 +474,7 @@ class SplitEngine:
         return out
 
     def _compute_table(self, i: int) -> None:
-        """Table of i: the join of its children's lifts, in child order.
+        """Table of i: one child's lift with every other child folded in.
 
         A leaf's table is its local table: every assignment of bag i alone
         without an internal edge joining two distinct groups, at cost 0.
@@ -400,17 +482,25 @@ class SplitEngine:
         for bag i alone (the child checked the edges among shared vertices,
         the introduce step those at each new vertex) and has nsep at least
         its separator digit count, so joining the local table would return
-        the lifted table unchanged. A child whose table has not changed since
-        its last lift into i is not lifted again (see _lift).
+        the lifted table unchanged. The lift is of the child whose introduced
+        lift is kept, else of the child sharing the most vertices with bag i
+        (the least to introduce), the first in child order on a tie; every
+        other child is folded in (_fold), which introduces nothing. A child
+        whose table has not changed since its last entry into i is not
+        projected again (see _forget).
         """
-        bag = self.bag_list[i]
-        lows = _full_lows(len(bag))
-        tab = None
-        for c in self.children[i]:
-            lifted = self._lift(c, i)
-            tab = lifted if tab is None else self._join(tab, lifted, lows)
-        if tab is None:
-            tab = self._introduce_all({0: (0, 0)}, [], bag)
+        kids = self.children[i]
+        if kids:
+            entries = [self._forget(c, i) for c in kids]
+            pick = next((j for j, e in enumerate(entries) if e[3] is not None), None)
+            if pick is None:
+                pick = max(range(len(kids)), key=lambda j: len(entries[j][2]))
+            tab = self._lift(kids[pick], i)
+            for j, c in enumerate(kids):
+                if j != pick:
+                    tab = self._fold(tab, c, i)
+        else:
+            tab = self._introduce_all({0: (0, 0)}, [], self.bag_list[i])
         self.table[i] = tab
         self.tables_computed += 1
 
@@ -435,14 +525,14 @@ class SplitEngine:
         """Re-root the edge (r, s) from the root r to its child s.
 
         The table of r is rebuilt from its remaining children. The table of s
-        is the join of the table it replaces (already the join of its
-        children's lifts) with one fresh lift of r into s; a leaf s takes
-        that lift alone, as _compute_table skips the local table. The join
-        is associative and a pair only gains separators as it joins, so the
-        content is what _compute_table(s) would build. A lift whose child
-        table has not changed is reused (see _lift): here the lifts of the
-        remaining children of r, and later the lift of r into s, when the walk
-        leaves s by another edge. Two tables are counted.
+        is the table it replaces (already its children's lifts joined) with
+        the new table of r folded in (_fold); a leaf s takes the lift of r
+        alone, as _compute_table skips the local table. The join is
+        associative and a pair only gains separators as it joins, so the
+        content is what _compute_table(s) would build. An edge entry whose
+        child table has not changed is reused (see _forget): here those of
+        the remaining children of r, and later that of r into s, when the
+        walk leaves s by another edge. Two tables are counted.
         """
         r = self.root
         if self.parent[s] != r:
@@ -450,13 +540,8 @@ class SplitEngine:
         self.children[r].remove(s)
         self.parent[r] = s
         self._compute_table(r)
-        lifted = self._lift(r, s)
         kids = self.children[s]
-        self.table[s] = (
-            self._join(self.table[s], lifted, _full_lows(len(self.bag_list[s])))
-            if kids
-            else lifted
-        )
+        self.table[s] = self._fold(self.table[s], r, s) if kids else self._lift(r, s)
         self.tables_computed += 1
         kids.append(r)
         kids.sort()
@@ -472,7 +557,7 @@ class SplitEngine:
         while a table holds one canonical code per orbit and stands for every
         relabelling of it, with the same pair. Over all those relabellings,
         the child takes the codes that project onto code, their pairs
-        re-anchored as _lift does, and keeps the least (nsep, cost), then the
+        re-anchored as _forget does, and keeps the least (nsep, cost), then the
         smallest code. An entry stands for such a code exactly when its own
         projection onto the shared vertices is a relabelling of code there:
         the group masks of code's part under each permutation of the labels,
@@ -483,7 +568,9 @@ class SplitEngine:
         free, in order, which gives the least code (a canonical code's groups
         first appear in label order). Every state is the pair of its code,
         and a join adds the children's lifted pairs, so these least pairs add
-        up to (h, d). The final check guards that. Builds no table.
+        up to (h, d). The final check guards that. Builds no table: the pack
+        plans come from the edge entries (_forget), which make only a
+        forgotten table where next_pass dropped an entry.
         """
         if i not in self.state:
             return
@@ -491,16 +578,16 @@ class SplitEngine:
         if all(c in self.state for c in kids):
             return
         code, h, d = self.state[i]
-        pset, pbag = self.bags[i], self.bag_list[i]
-        lows = _full_lows(len(pbag))
+        lows = _full_lows(len(self.bag_list[i]))
         seps = code & (code >> 1)
         got_h, got_d = (seps & lows).bit_count() * (1 - len(kids)), 0
         for c in kids:
-            cbag = self.bag_list[c]
-            intro = (seps & (lows ^ _lows(pbag, self.bags[c]))).bit_count()
-            ccode = _pack(code, _keep_runs(pbag, self.bags[c]))
-            _frame, shared, runs, flows = _projection(cbag, pset)
-            clows = _full_lows(len(cbag))
+            plan = self._forget(c, i)[4]
+            shared, runs, flows = plan[0], plan[1], plan[2]
+            pruns, plows = self._parent_plan(plan, c, i)
+            intro = (seps & (lows ^ plows)).bit_count()
+            ccode = _pack(code, pruns)
+            clows = _full_lows(len(self.bag_list[c]))
             *labels, sep = _masks(ccode, flows)
             wanted = {
                 sep * SEP + sum(m * j for m, j in zip(labels, perm))

@@ -149,6 +149,50 @@ def find_editable(engine: SplitEngine) -> EditableInfo:
     return EditableInfo(nodes=nodes, states=states, borders=borders, x_full=x_full)
 
 
+def _contract(
+    bags: list[frozenset[int]],
+    ledges: list[tuple[int, int]],
+    attach: dict[int, int],
+) -> tuple[list[frozenset[int]], list[tuple[int, int]], dict[int, int]]:
+    """Merge each new bag of degree <= 2 (its new edges plus the borders
+    attached to it) that lies inside a new neighbour into the smallest-id
+    such neighbour, sweeping in local-id order until none is left; its other
+    neighbour and its borders re-hang on that neighbour. The neighbour loses
+    the merged bag and gains at most one neighbour, so no degree rises, and
+    it holds every vertex of the merged bag, so the running intersection
+    holds. Returns the bags, edges and attach map left, renumbered in
+    local-id order."""
+    nbrs: dict[int, set[int]] = {b: set() for b in range(len(bags))}
+    for a, b in ledges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    hung: dict[int, list[int]] = {b: [] for b in nbrs}
+    for border, b in attach.items():
+        hung[b].append(border)
+    changed = True
+    while changed:
+        changed = False
+        for b in sorted(nbrs):
+            if b not in nbrs or len(nbrs[b]) + len(hung[b]) > 2:
+                continue
+            into = min((c for c in nbrs[b] if bags[b] <= bags[c]), default=None)
+            if into is None:
+                continue
+            for c in nbrs.pop(b) - {into}:
+                nbrs[c].remove(b)
+                nbrs[c].add(into)
+                nbrs[into].add(c)
+            nbrs[into].remove(b)
+            hung[into] += hung.pop(b)
+            changed = True
+    ids = {b: j for j, b in enumerate(sorted(nbrs))}
+    return (
+        [bags[b] for b in sorted(nbrs)],
+        [(ids[a], ids[b]) for a in nbrs for b in nbrs[a] if a < b],
+        {border: ids[b] for b in nbrs for border in hung[b]},
+    )
+
+
 def build_replacement(
     engine: SplitEngine, info: EditableInfo, pointer_border: int
 ) -> EditPlan:
@@ -159,8 +203,11 @@ def build_replacement(
     (B ∩ (Cᵢ ∪ X)) ∪ Bˣ where Bˣ collects separator vertices homed strictly
     below B; the copies are wired like the region, a bag holding the whole
     separator joins the root copies, and borders attach to the copy of their
-    group. All new bags are strictly smaller than the split bag and at most
-    3t+4 nodes are created for t removed.
+    group. The subset bags this leaves are then contracted (_contract), so
+    no new bag of degree <= 2 lies inside a new neighbour; the pointer is
+    the bag the pointer border attaches to. All new bags are strictly
+    smaller than the split bag and at most 3t+4 nodes are created for t
+    removed.
     """
     u = engine.root
     rnodes = info.nodes
@@ -223,6 +270,7 @@ def build_replacement(
             ledges.append((rep, rc))
             top = rep
         ledges.append((xid, top))
+    bags, ledges, attach = _contract(bags, ledges, attach)
 
     for bag in bags:
         if len(bag) >= wsize:

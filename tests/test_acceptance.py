@@ -122,12 +122,13 @@ def test_criterion_1_approximation_guarantee(corpus):
         problems = validate(g, r.td)
         assert problems == [], (name, problems[:3])
         assert width(r.td) <= 2 * tw + 1, (name, width(r.td), tw)
+        assert len(r.td.bags) <= 2 * g.n, (name, len(r.td.bags), g.n)
     elapsed = time.monotonic() - start
     ok = elapsed < 300
     record(
         f"criterion 1 (approximation guarantee): "
         f"{'PASS' if ok else 'FAIL'} - {len(corpus)} instances, "
-        f"all valid with width <= 2k+1, {elapsed:.1f}s"
+        f"all valid with width <= 2k+1 and at most 2n bags, {elapsed:.1f}s"
     )
     assert ok, f"corpus sweep took {elapsed:.1f}s, expected under 300s"
 

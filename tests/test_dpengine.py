@@ -388,6 +388,37 @@ def test_subset_bag_lifts_match_brute_force(name, groups, cap):
             assert e.table[i] == brute_table(SUBSET_GRAPH, e, i), (root, i)
 
 
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("groups", [2, 3])
+def test_fold_is_the_join_with_the_lift(groups, cap):
+    # folding a child into a table over its parent's bag, by lookup in the
+    # child's forgotten table, gives what joining the child's introduced
+    # lift gives, for every kind of frame: the whole child bag (child inside
+    # parent), the whole parent bag (parent inside child) and a part of each
+    rng = random.Random(924 + groups)
+    frames = {"child": 0, "parent": 0, "partial": 0}
+    for _ in range(60):
+        g, t, root = small_instance(rng, nmax=9, extra=4)
+        e = SplitEngine(g, t, root=root, groups=groups, cap=cap)
+        for c, i in e.parent.items():
+            if i is None:
+                continue
+            bag, lows = e.bag_list[i], _lows(e.bag_list[i])
+            local = e._introduce_all({0: (0, 0)}, [], bag)
+            for tab in (local, e.table[i]):
+                e._lifts = {}
+                folded = e._fold(tab, c, i)
+                frame = e._lifts[c, i][2]
+                assert folded == e._join(tab, e._lift(c, i), lows), (c, i)
+            if len(frame) == len(bag):
+                frames["parent"] += 1
+            elif len(frame) == len(e.bag_list[c]):
+                frames["child"] += 1
+            else:
+                frames["partial"] += 1
+    assert min(frames.values()) >= 20, frames
+
+
 def deepen(e, toward):
     """Edit the root bag B into two bags, I - B, where the root's neighbour
     on the way to node toward attaches to I, the part of B it shares. Seen
@@ -456,14 +487,22 @@ def walk_passes(groups, cap, seed, check):
 
 
 def assert_lifts_exact(e, _removed):
-    """Every kept lift whose child still holds the table it was made from is
-    the lift made afresh with nothing kept, and every table is the one built
-    from the leaves up with nothing kept."""
+    """Every kept edge entry whose child still holds the table it was made
+    from is what an engine keeping nothing makes afresh: its forgotten
+    table, frame and pack plan, and its introduced lift, when kept, is the
+    introduce step run afresh on that forgotten table. Every table is the
+    one built from the leaves up with nothing kept."""
     fresh = copy.copy(e)
     fresh._lifts = {}
-    for (c, p), (tab, lifted) in e._lifts.items():
-        if e.table[c] is tab:
-            assert fresh._lift(c, p) == lifted, (c, p)
+    for (c, p), (tab, proj, frame, lifted, plan) in e._lifts.items():
+        if e.table[c] is not tab:
+            continue
+        _tab, want, want_frame, _none, want_plan = fresh._forget(c, p)
+        assert (proj, frame, plan[:3]) == (want, want_frame, want_plan[:3]), (c, p)
+        if plan[3] is not None:
+            assert plan[3:] == list(fresh._parent_plan(want_plan, c, p)), (c, p)
+        if lifted is not None:
+            assert lifted == fresh._introduce_all(want, frame, e.bag_list[p]), (c, p)
     fresh.table, fresh._lifts = {}, {}
     for i in reversed(subtree_nodes(e, e.root)):
         fresh._compute_table(i)
@@ -483,21 +522,21 @@ def assert_lifts_on_tree_edges(e, removed):
 @pytest.mark.parametrize("cap", [None, 2])
 @pytest.mark.parametrize("groups", [2, 3])
 def test_kept_lifts_are_exact(monkeypatch, groups, cap):
-    # a kept lift is reused only while its child holds the very table it
-    # was made from: the walk meets both kinds of kept entry, current and
-    # stale, and every table stays what an engine keeping no lift builds
+    # a kept edge entry is reused only while its child holds the very table
+    # it was made from: the walk meets both kinds of kept entry, current and
+    # stale, and every table stays what an engine keeping nothing builds
     kept_current = {True: 0, False: 0}
-    lift = SplitEngine._lift
+    forget = SplitEngine._forget
 
     def counted(e, c, p):
         kept = e._lifts.get((c, p))
         if kept is not None:
             kept_current[kept[0] is e.table[c]] += 1
-        return lift(e, c, p)
+        return forget(e, c, p)
 
-    monkeypatch.setattr(SplitEngine, "_lift", counted)
-    # lifts kept through a next_pass that does not narrow hmax are checked
-    # against fresh lifts like any other
+    monkeypatch.setattr(SplitEngine, "_forget", counted)
+    # entries kept through a next_pass that does not narrow hmax are checked
+    # against fresh ones like any other
     survived = walk_passes(groups, cap, 930 + groups, assert_lifts_exact)
     assert kept_current[True] >= 100 and kept_current[False] >= 20, kept_current
     assert survived >= 50 or cap is None, survived

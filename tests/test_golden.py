@@ -52,9 +52,9 @@ PINNED = {
         (1, 0, 0, 7, 31),
     ),
     "ktree1-two-way": (
-        "s td 53 4 16",
-        "43f7d3e5c6959a7b736cf9b69dd2df22b56d79394cfd2b31720be2535a981550",
-        (5, 3, 5, 35, 175),
+        "s td 16 4 16",
+        "7c2ba18a4577e284f9696fe9d595d3a0df3eb5397a8143bb9b28757586cec6d0",
+        (5, 3, 5, 35, 126),
     ),
     "k10-two-way-certificate": (
         "LOWERBOUND k=1 bag 1 2 3 4 5 6 7 8 9 10",
@@ -62,9 +62,9 @@ PINNED = {
         (1, 1, 0, 1, 13),
     ),
     "ktree2-three-way": (
-        "s td 11 6 16",
-        "07f32d576f83f5d1e20e33aeb44eab904a96e0666104600f540638f27b0ae2f3",
-        (1, 0, 2, 4, 22),
+        "s td 7 6 16",
+        "1805a37b0a54bba1d9fc957a1fbc94f62ba15f78afea63add07ef7557e8701fd",
+        (1, 0, 2, 4, 18),
     ),
 }
 

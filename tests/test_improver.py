@@ -71,6 +71,16 @@ def test_find_editable_path3_star_region():
 
 
 def test_build_replacement_path3_worked_example():
+    # The split of {0, 1, 2} is 0 | 2 | - with separator {1}, and the empty
+    # border 1 meets group 0 (test_find_editable_path3_star_region). The
+    # group copies are {0, 1}, {1, 2} and {1} (local ids 0, 1, 2), the
+    # separator bag {1} is 3 and joins every root copy, and the border hangs
+    # on copy 0. Contraction sweeps in local-id order: 0 and 1 lie in no
+    # neighbour (their one neighbour is 3 = {1}); 2 = {1} has degree 1 and
+    # lies in 3, so it merges into 3; 3 = {1}, now with neighbours 0 and 1,
+    # lies in both and merges into 0, the smaller id, and 1 re-hangs on 0.
+    # A second sweep merges nothing: {0, 1} and {1, 2} hold each other in
+    # neither direction. What is left is {0, 1} - {1, 2}, the border on 0.
     g = path_graph(3)
     t = TreeDecomposition([[0, 1, 2], []], [(0, 1)], root=0)
     e = SplitEngine(g, t, root=0)
@@ -78,15 +88,60 @@ def test_build_replacement_path3_worked_example():
     info = find_editable(e)
     plan = build_replacement(e, info, 1)
     assert plan.removed == [0]
-    assert [set(b) for b in plan.bags] == [{0, 1}, {1, 2}, {1}, {1}]
-    assert sorted(plan.edges) == [(0, 3), (1, 3), (2, 3)]
+    assert [set(b) for b in plan.bags] == [{0, 1}, {1, 2}]
+    assert plan.edges == [(0, 1)]
     assert plan.attach == {1: 0}
     assert plan.pointer == 0
     ids = e.edit(plan)
-    assert len(ids) == 4
+    assert len(ids) == 2
     td, _ = e.export_decomposition()
     assert validate(g, td) == []
     assert width(td) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_build_replacement_contracts_subset_bags(monkeypatch, k):
+    # in every plan of a pass, no new bag of degree <= 2 (new edges plus
+    # attached borders) lies inside a new neighbour, no degree passes 3, and
+    # the pointer is the bag that the pointer border q attaches to, so the
+    # walk's step back to q is a step to a child of the pointer
+    plans, sizes = [], []
+    build, contract = improver.build_replacement, improver._contract
+
+    def recorded_build(engine, info, pointer_border):
+        plan = build(engine, info, pointer_border)
+        plans.append((plan, pointer_border))
+        return plan
+
+    def recorded_contract(bags, ledges, attach):
+        out = contract(bags, ledges, attach)
+        sizes.append((len(bags), len(out[0])))
+        return out
+
+    monkeypatch.setattr(improver, "build_replacement", recorded_build)
+    monkeypatch.setattr(improver, "_contract", recorded_contract)
+    rng = random.Random(671 + k)
+    for trial in range(8):
+        g, t = partial_ktree(rng, rng.randint(20, 50), k=k)
+        r = approximate(g, k, t0=coarsen(t, 3 * k + 4), check=trial < 3)
+        assert isinstance(r, Decomposition)
+        assert len(r.td.bags) <= 2 * g.n
+    for plan, q in plans:
+        nn = len(plan.bags)
+        nbrs = [[] for _ in range(nn)]
+        for a, b in plan.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        deg = [len(nb) for nb in nbrs]
+        for loc in plan.attach.values():
+            deg[loc] += 1
+        assert max(deg) <= 3, deg
+        for b in range(nn):
+            if deg[b] <= 2:
+                assert not any(plan.bags[b] <= plan.bags[c] for c in nbrs[b]), b
+        assert plan.pointer == plan.attach[q]
+    merged = sum(before - after for before, after in sizes)
+    assert len(plans) == len(sizes) >= 40 and merged >= len(plans), (len(plans), merged)
 
 
 def test_find_editable_without_split_raises():
@@ -123,21 +178,22 @@ PRUNED_WALKS = {
         7,
         [0, 4, 5],
         1,
-        (3, 18),
+        (3, 16),
     ),
     # The split at 1 rewrites its parent 0 (the same bag) too, so the unseen
-    # maximum bag 2 becomes a border of the edit; the new nodes above it
-    # carry its count, and the walk goes down through them to split 2. The
-    # new pointer 7 is the only neighbour of the sentinel 5 left to walk,
-    # so the walk stays at 7 rather than step up to 5 and straight back.
+    # maximum bag 2 becomes a border of the edit, which leaves the new nodes
+    # 6 = {2, 3} - 7 = {3, 4} with 2 below 7; they carry its count, and the
+    # walk goes down through 7 to split 2. The new pointer 6 is the only
+    # neighbour of the sentinel 5 left to walk, so the walk stays at 6
+    # rather than step up to 5 and straight back.
     "border-taken-over": (
         7,
         [[2, 3, 4], [2, 3, 4], [4, 5, 6], [1, 2], [0, 1], []],
         [(0, 1), (0, 2), (1, 3), (3, 4), (0, 5)],
         5,
-        [0, 1, 6, 12, 8, 9, 2],
+        [0, 1, 7, 2],
         2,
-        (7, 31),
+        (4, 18),
     ),
     # The walk splits 2 and finishes its parent 1. The split at 3 then
     # rewrites its parent 0 (the same bag) too, so 1 becomes a border of the
@@ -149,33 +205,33 @@ PRUNED_WALKS = {
         4,
         [0, 1, 2, 1, 0, 3],
         2,
-        (6, 28),
+        (6, 21),
     ),
     # The walk tree from the sentinel 6 is 6 - 0 - {1 - {2, 3 - 5}, 4}. The
     # split at 2 rewrites its parent 1 (the same bag) too; its border 0
-    # becomes q, and the unseen maximum bag 3 hangs below the new pointer 8.
-    # The other unseen neighbour of 0, node 4, holds no bag larger than w, so
-    # the walk stays at 8 and never steps up to 0 and back.
+    # becomes q, and the unseen maximum bag 3 hangs below the new pointer 7,
+    # through 8. The other unseen neighbour of 0, node 4, holds no bag larger
+    # than w, so the walk stays at 7 and never steps up to 0 and back.
     "pointer-next": (
         8,
         [[1, 2], [2, 3, 4], [2, 3, 4], [4, 5, 6], [0, 1], [6, 7], []],
         [(0, 1), (1, 2), (1, 3), (0, 4), (3, 5), (0, 6)],
         6,
-        [0, 1, 2, 7, 13, 9, 10, 3],
+        [0, 1, 2, 8, 3],
         2,
-        (8, 34),
+        (5, 21),
     ),
     # As above, but 4 holds a maximum bag too: it is an older unseen
-    # neighbour of q = 0 than the new pointer 8, so the walk steps up to 0
+    # neighbour of q = 0 than the new pointer 7, so the walk steps up to 0
     # and splits 4 first, as the walk at 0 picks the smallest id.
     "older-neighbour-first": (
         9,
         [[2, 3], [3, 4, 5], [3, 4, 5], [5, 6, 7], [0, 1, 2], [7, 8], []],
         [(0, 1), (1, 2), (1, 3), (0, 4), (3, 5), (0, 6)],
         6,
-        [0, 1, 2, 0, 4, 0, 8, 7, 13, 9, 10, 3],
+        [0, 1, 2, 0, 4, 0, 7, 8, 3],
         3,
-        (12, 46),
+        (9, 31),
     ),
 }
 
