@@ -42,10 +42,10 @@ looks each code up, projected onto the shared vertices, in the child's
 forgotten table (its table re-anchored and projected onto those vertices),
 so that child's lift is never introduced up to the whole parent bag (_fold).
 No table is ever mutated in place: every write stores a new dict. So each
-tree edge keeps one entry, with the child table it came from, its forgotten
-table, the introduced lift once one is made, and the plans that pack codes
-onto the shared vertices, and reuses it for as long as the child holds that
-very table (_forget); edits and next_pass drop the entries of the nodes they
+tree edge keeps one entry, (the child table it came from, its forgotten
+table, the plan that packs codes of either bag onto the shared vertices),
+and reuses it for as long as the child holds that very table (_forget); no
+lift is kept. Edits and next_pass drop the entries of the nodes they
 remove, and next_pass drops them all when it narrows hmax, so at most one
 entry per directed tree edge stands.
 
@@ -74,8 +74,9 @@ from .treedec import TreeDecomposition, validate
 SEP = 3  # separator digit; 0..2 are the component groups
 
 # a kept tree edge (child, parent), see SplitEngine._forget: (child table,
-# forgotten table, frame, introduced lift or None, pack plan)
-_Edge = tuple[dict, dict, list, "dict | None", list]
+# forgotten table, pack plan); the plan is (frame, shared lows, child runs,
+# frame lows, parent runs, parent lows)
+_Edge = tuple[dict, dict, tuple]
 
 
 def _full_lows(size: int) -> int:
@@ -83,24 +84,17 @@ def _full_lows(size: int) -> int:
     return ((1 << 2 * size) - 1) // 3
 
 
-def _lows(bag: list[int], keep: frozenset[int] | None = None) -> int:
-    """Low bit of the digit of every vertex of bag in keep (default: all);
-    for a whole bag, _full_lows(len(bag)) gives the same."""
-    size = len(bag)
-    out = 0
-    for idx, v in enumerate(bag):
-        if keep is None or v in keep:
-            out |= 1 << 2 * (size - 1 - idx)
-    return out
-
-
-def _keep_runs(bag: list[int], keep: frozenset[int]) -> list[tuple[int, int]]:
-    """(mask, shift) pairs packing a code over bag into a code over the
-    vertices of bag in keep: OR together (code & mask) >> shift."""
+def _pack_plan(
+    bag: list[int], keep: frozenset[int]
+) -> tuple[int, list[tuple[int, int]]]:
+    """How codes over bag pack onto the vertices of bag in keep: the low bits
+    of their digits within bag, and (mask, shift) runs, so that OR-ing
+    together (code & mask) >> shift gives the code over those vertices."""
+    lows = mask = dropped = 0
     runs: list[tuple[int, int]] = []
-    mask = dropped = 0
     for pos, v in enumerate(reversed(bag)):
         if v in keep:
+            lows |= 1 << 2 * pos
             mask |= 3 << 2 * pos
             continue
         if mask:
@@ -109,18 +103,7 @@ def _keep_runs(bag: list[int], keep: frozenset[int]) -> list[tuple[int, int]]:
         dropped += 1
     if mask:
         runs.append((mask, 2 * dropped))
-    return runs
-
-
-def _projection(
-    cbag: list[int], pset: frozenset[int]
-) -> tuple[list[int], int, list[tuple[int, int]], int]:
-    """How codes over cbag project onto the vertices of cbag in pset, the
-    frame: the frame in bag order, the low bits of its digits within cbag,
-    the _keep_runs that pack a code over cbag onto the frame, and the low
-    bits of the frame's own digits."""
-    frame = [v for v in cbag if v in pset]
-    return frame, _lows(cbag, pset), _keep_runs(cbag, pset), _full_lows(len(frame))
+    return lows, runs
 
 
 def _pack(code: int, runs: list[tuple[int, int]]) -> int:
@@ -217,7 +200,7 @@ class SplitEngine:
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, tuple[int, int]]] = {}
         self.state: dict[int, tuple[int, int, int]] = {}
-        self._lifts: dict[tuple[int, int], _Edge] = {}  # see _forget
+        self._edges: dict[tuple[int, int], _Edge] = {}  # see _forget
         self._next_id = len(t.bags)
 
         self.tables_computed = self.moves = 0
@@ -264,43 +247,47 @@ class SplitEngine:
         """The kept entry of the tree edge (child, i), made afresh unless it
         was made from the table child holds now.
 
-        An entry is (child table, its forgotten table, frame, introduced lift
-        or None, pack plan). The forgotten table is the child table
-        re-anchored and projected onto the frame, the vertices shared with
-        bag i, in one pass: costs advance one edge toward i (each separator
-        vertex counted in nsep pays 1 unless it is in both bags) and the
-        vertices absent from bag i are projected out, taking minima. A
-        projection can lose the vertex that gave a group its label, so it is
-        put back in canonical form over the frame before the minimum is
-        taken: a relabelling keeps the pair, so the least pair of an orbit is
-        the least over its canonical projections. _canon runs once per
-        distinct projection. When the frame is the whole child bag, the
-        projection is the identity and the child's canonical codes stay
-        canonical and distinct, so neither runs.
+        An entry is (child table, its forgotten table, pack plan). The
+        forgotten table is the child table re-anchored and projected onto
+        the frame, the vertices shared with bag i, in one pass: costs advance
+        one edge toward i (each separator vertex counted in nsep pays 1
+        unless it is in both bags) and the vertices absent from bag i are
+        projected out, taking minima. A projection can lose the vertex that
+        gave a group its label, so it is put back in canonical form over the
+        frame before the minimum is taken: a relabelling keeps the pair, so
+        the least pair of an orbit is the least over its canonical
+        projections. _canon runs once per distinct projection. When the frame
+        is the whole child bag, the projection is the identity and the
+        child's canonical codes stay canonical and distinct, so neither runs.
 
-        The pack plan depends on the two bags alone and passes from an entry
-        to the next: the child side (_projection's shared lows, runs and
-        frame lows) is made with the first entry, the parent side (_keep_runs
-        and _lows of bag i onto the frame) on first use (_parent_plan).
+        The pack plan depends on the two bags alone, so it is made with an
+        edge's first entry and passed to the next: (frame, the low bits of
+        the frame's digits within the child bag, the runs that pack a child
+        code onto the frame, the low bits of the frame's own digits, the runs
+        that pack a code over bag i onto the frame, the low bits of the
+        frame's digits within bag i); see _pack_plan.
 
         Reusing an entry is exact: no table is mutated in place (every write
         stores a new dict), node ids are never reused, and the entry holds the
         child table, so its identity cannot pass to another. Besides that
         table, an entry reads only what a node id fixes (the two bags, the
         graph, the groups) and hmax, which only next_pass changes; next_pass
-        empties _lifts when it narrows hmax.
+        empties _edges when it narrows hmax.
         """
         tab = self.table[child]
-        kept = self._lifts.get((child, i))
+        kept = self._edges.get((child, i))
         if kept is not None and kept[0] is tab:
             return kept
         cbag = self.bag_list[child]
         if kept is None:
-            frame, shared, runs, flows = _projection(cbag, self.bags[i])
-            plan = [shared, runs, flows, None, None]
+            pset = self.bags[i]
+            frame = [v for v in cbag if v in pset]
+            shared, runs = _pack_plan(cbag, pset)
+            plows, pruns = _pack_plan(self.bag_list[i], self.bags[child])
+            plan = (frame, shared, runs, _full_lows(len(frame)), pruns, plows)
         else:
-            frame, plan = kept[2], kept[4]
-            shared, runs, flows = plan[0], plan[1], plan[2]
+            plan = kept[2]
+        frame, shared, runs, flows = plan[:4]
         out: dict[int, tuple[int, int]] = {}
         if len(frame) == len(cbag):
             for code, hd in tab.items():
@@ -321,32 +308,15 @@ class SplitEngine:
                 old = out.get(ncode)
                 if old is None or hd < old:
                     out[ncode] = hd
-        entry = self._lifts[child, i] = (tab, out, frame, None, plan)
+        entry = self._edges[child, i] = (tab, out, plan)
         return entry
-
-    def _parent_plan(
-        self, plan: list, child: int, i: int
-    ) -> tuple[list[tuple[int, int]], int]:
-        """The parent side of an edge's pack plan: the _keep_runs that pack a
-        code over bag i onto the frame, and the low bits of the frame's
-        digits within bag i. Made on first use and kept in the plan."""
-        if plan[3] is None:
-            pbag, cset = self.bag_list[i], self.bags[child]
-            plan[3], plan[4] = _keep_runs(pbag, cset), _lows(pbag, cset)
-        return plan[3], plan[4]
 
     def _lift(self, child: int, i: int) -> dict[int, tuple[int, int]]:
         """Child table re-expressed over the bag of i: its forgotten table
         (_forget) with the vertices of bag i absent from the child
-        introduced. The introduced lift is kept in the edge's entry and
-        returned again while the entry stands."""
-        entry = self._forget(child, i)
-        lifted = entry[3]
-        if lifted is None:
-            tab, out, frame, _none, plan = entry
-            lifted = self._introduce_all(out, frame, self.bag_list[i])
-            self._lifts[child, i] = (tab, out, frame, lifted, plan)
-        return lifted
+        introduced."""
+        _tab, proj, plan = self._forget(child, i)
+        return self._introduce_all(proj, plan[0], self.bag_list[i])
 
     def _fold(
         self, tab: dict[int, tuple[int, int]], child: int, i: int
@@ -354,26 +324,32 @@ class SplitEngine:
         """tab, a table over bag i, joined with the lift of child into i,
         without introducing that lift.
 
-        Each code of tab is packed onto the frame and looked up, in canonical
-        form, in the child's forgotten table (the lookup is memoised per
-        packed code): h = h1 + h2 - the separator digits of the frame, and
-        d = d1 + d2. That is _join(tab, _lift(child, i)): a code of tab
-        already satisfies every edge of bag i, which is all the introduce
-        step checks, and its separators off the frame, which the introduce
-        step would add to h2, the join takes off again; the introduce step's
-        cap only drops codes whose join would pass hmax too. When the
-        introduced lift is kept, or the frame is the whole bag i (the lift is
-        then the forgotten table), this is a plain _join with it.
+        The join keeps the codes of tab that the lift holds too, with h = h1
+        + h2 - the separator digits of bag i, and d = d1 + d2. When the frame
+        is the whole bag i, the lift is the forgotten table, and the smaller
+        of the two tables is scanned. Otherwise each code of tab is packed
+        onto the frame and looked up, in canonical form, in the forgotten
+        table (the lookup is memoised per packed code), taking off only the
+        separator digits of the frame: a code of tab already satisfies every
+        edge of bag i, which is all the introduce step checks, and its
+        separators off the frame, which the introduce step would add to h2,
+        the join takes off again; the introduce step's cap only drops codes
+        whose join would pass hmax too.
         """
-        _tab, proj, frame, lifted, plan = self._forget(child, i)
-        pbag = self.bag_list[i]
-        if lifted is not None or len(frame) == len(pbag):
-            return self._join(tab, self._lift(child, i), _full_lows(len(pbag)))
-        runs = self._parent_plan(plan, child, i)[0]
-        flows = plan[2]
+        _tab, proj, plan = self._forget(child, i)
+        frame, flows, runs = plan[0], plan[3], plan[4]
         hmax = self.hmax
-        memo: dict[int, tuple[int, int] | None] = {}
         out: dict[int, tuple[int, int]] = {}
+        if len(frame) == len(self.bag_list[i]):
+            small, big = (tab, proj) if len(tab) <= len(proj) else (proj, tab)
+            for code, (h1, d1) in small.items():
+                other = big.get(code)
+                if other is not None:
+                    h = h1 + other[0] - (code & (code >> 1) & flows).bit_count()
+                    if h <= hmax:
+                        out[code] = (h, d1 + other[1])
+            return out
+        memo: dict[int, tuple[int, int] | None] = {}
         for code, (h1, d1) in tab.items():
             p = 0
             for mask, shift in runs:  # _pack, inlined: once per code
@@ -455,24 +431,6 @@ class SplitEngine:
             cur_frame.insert(idx, v)
         return cur
 
-    def _join(
-        self,
-        a: dict[int, tuple[int, int]],
-        b: dict[int, tuple[int, int]],
-        lows: int,
-    ) -> dict[int, tuple[int, int]]:
-        hmax = self.hmax
-        out: dict[int, tuple[int, int]] = {}
-        small, big = (a, b) if len(a) <= len(b) else (b, a)
-        for code, (h1, d1) in small.items():
-            other = big.get(code)
-            if other is None:
-                continue
-            h = h1 + other[0] - (code & (code >> 1) & lows).bit_count()
-            if h <= hmax:
-                out[code] = (h, d1 + other[1])
-        return out
-
     def _compute_table(self, i: int) -> None:
         """Table of i: one child's lift with every other child folded in.
 
@@ -482,19 +440,16 @@ class SplitEngine:
         for bag i alone (the child checked the edges among shared vertices,
         the introduce step those at each new vertex) and has nsep at least
         its separator digit count, so joining the local table would return
-        the lifted table unchanged. The lift is of the child whose introduced
-        lift is kept, else of the child sharing the most vertices with bag i
-        (the least to introduce), the first in child order on a tie; every
-        other child is folded in (_fold), which introduces nothing. A child
-        whose table has not changed since its last entry into i is not
-        projected again (see _forget).
+        the lifted table unchanged. The lift is of the child sharing the most
+        vertices with bag i (the least to introduce), the first in child
+        order on a tie; every other child is folded in (_fold), which
+        introduces nothing. A child whose table has not changed since its
+        last entry into i is not projected again (see _forget).
         """
         kids = self.children[i]
         if kids:
-            entries = [self._forget(c, i) for c in kids]
-            pick = next((j for j, e in enumerate(entries) if e[3] is not None), None)
-            if pick is None:
-                pick = max(range(len(kids)), key=lambda j: len(entries[j][2]))
+            frames = [len(self._forget(c, i)[2][0]) for c in kids]
+            pick = frames.index(max(frames))
             tab = self._lift(kids[pick], i)
             for j, c in enumerate(kids):
                 if j != pick:
@@ -530,9 +485,10 @@ class SplitEngine:
         alone, as _compute_table skips the local table. The join is
         associative and a pair only gains separators as it joins, so the
         content is what _compute_table(s) would build. An edge entry whose
-        child table has not changed is reused (see _forget): here those of
-        the remaining children of r, and later that of r into s, when the
-        walk leaves s by another edge. Two tables are counted.
+        child table has not changed is reused, forgotten table and pack plan
+        (see _forget): here those of the remaining children of r, and later
+        that of r into s, when the walk leaves s by another edge. Two tables
+        are counted.
         """
         r = self.root
         if self.parent[s] != r:
@@ -551,7 +507,8 @@ class SplitEngine:
 
     def _push_state(self, i: int) -> None:
         """Read the split's restrictions to the children of i back from their
-        tables, when i has a state (code, h, d) and some child lacks one.
+        tables. i holds a state (code, h, d) and its children none: state_query
+        calls this down the path from the nearest node that has a state.
 
         A state holds the split's own labelling, which need not be canonical,
         while a table holds one canonical code per orbit and stands for every
@@ -569,22 +526,16 @@ class SplitEngine:
         first appear in label order). Every state is the pair of its code,
         and a join adds the children's lifted pairs, so these least pairs add
         up to (h, d). The final check guards that. Builds no table: the pack
-        plans come from the edge entries (_forget), which make only a
+        plan comes from the edge entry (_forget), which makes only a
         forgotten table where next_pass dropped an entry.
         """
-        if i not in self.state:
-            return
         kids = self.children[i]
-        if all(c in self.state for c in kids):
-            return
         code, h, d = self.state[i]
         lows = _full_lows(len(self.bag_list[i]))
         seps = code & (code >> 1)
         got_h, got_d = (seps & lows).bit_count() * (1 - len(kids)), 0
         for c in kids:
-            plan = self._forget(c, i)[4]
-            shared, runs, flows = plan[0], plan[1], plan[2]
-            pruns, plows = self._parent_plan(plan, c, i)
+            _frame, shared, runs, flows, pruns, plows = self._forget(c, i)[2]
             intro = (seps & (lows ^ plows)).bit_count()
             ccode = _pack(code, pruns)
             clows = _full_lows(len(self.bag_list[c]))
@@ -751,8 +702,8 @@ class SplitEngine:
 
         for i in removed:
             for nb in self._neighbors(i):
-                self._lifts.pop((i, nb), None)
-                self._lifts.pop((nb, i), None)
+                self._edges.pop((i, nb), None)
+                self._edges.pop((nb, i), None)
             del self.bags[i]
             del self.bag_list[i]
             del self.table[i]
@@ -791,8 +742,8 @@ class SplitEngine:
         degree <= 2 and a new empty leaf, id _next_id with the constant table
         {0: (0, 0)}, is hung there and moved to. So every table is what a new
         engine over the same nodes, rooted at that leaf, would build. The
-        kept lifts of the dropped leaf go; when hmax narrows, every table is
-        filtered into a new dict and all of them go. The counters restart,
+        edge entries of the dropped leaf go; when hmax narrows, every table
+        is filtered into a new dict and all of them go. The counters restart,
         as for a new engine, and count the moves and their tables.
         """
         if start not in self.bags or self.bags[start] or len(self._neighbors(start)) != 1:
@@ -811,12 +762,12 @@ class SplitEngine:
             self.children[nb].remove(start)
         for part in (self.bags, self.bag_list, self.table, self.parent, self.children):
             del part[start]
-        self._lifts.pop((start, nb), None)
-        self._lifts.pop((nb, start), None)
+        self._edges.pop((start, nb), None)
+        self._edges.pop((nb, start), None)
         hmax = self.hmax
         self._set_width(width)
         if self.hmax < hmax:
-            self._lifts = {}
+            self._edges = {}
             keep = self.hmax
             for i, tab in self.table.items():
                 self.table[i] = {c: hd for c, hd in tab.items() if hd[0] <= keep}

@@ -315,6 +315,7 @@ def test_criterion_6b_engine_table_scaling():
         r = approximate(g, 2, t0=coarsen(t, 7), stats=st)
         assert isinstance(r, Decomposition), n
         assert width(r.td) <= 5 and validate(g, r.td) == []
+        assert len(r.td.bags) <= 2 * g.n, (n, len(r.td.bags))
         assert st.passes > 0 and st.splits > 0
         tables[n] = st.tables
     elapsed = time.monotonic() - start
@@ -335,11 +336,16 @@ def test_criterion_6c_known_treewidth_beyond_oracle():
     # which runs splitting passes: full k-trees (tw = k) coarsened to bags
     # of 2k+3, and p x q grids (tw = min(p, q)) from a coarsened min-degree
     # seed. At k >= tw the result must be a Decomposition; at k < tw a
-    # LowerBound is also sound, if its bag has >= 2k+3 vertices.
+    # LowerBound is also sound, if its bag has >= 2k+3 vertices. Partial
+    # k-trees (tw <= k) coarsened further run several passes, so their edits
+    # pile up; every output must keep at most 2n bags.
     cases = []
     for k, n in ((1, 300), (2, 300), (3, 120)):
         g, t = partial_ktree(random.Random(7), n, k=k, keep=1.0)
         cases.append((f"{k}-tree n={n}", g, k, k, coarsen(t, 2 * k + 3)))
+    for k, n, cap in ((1, 100, 9), (2, 200, 10)):
+        g, t = partial_ktree(random.Random(7), n, k=k)
+        cases.append((f"partial {k}-tree n={n}", g, k, k, coarsen(t, cap)))
     for p, q, k, cap in ((3, 30, 3, 9), (4, 20, 1, 5)):
         g = grid_graph(p, q)
         seed = coarsen(initial_decomposition(g), cap)
@@ -351,6 +357,7 @@ def test_criterion_6c_known_treewidth_beyond_oracle():
         r = approximate(g, k, t0=seed, stats=st)
         elapsed = time.monotonic() - start
         assert st.passes > 0, name
+        assert len(r.td.bags) <= 2 * g.n, (name, len(r.td.bags))
         if k >= tw:
             assert isinstance(r, Decomposition) and st.splits > 0, name
         if isinstance(r, LowerBound):
@@ -359,7 +366,10 @@ def test_criterion_6c_known_treewidth_beyond_oracle():
         else:
             assert width(r.td) <= 2 * k + 1 and validate(g, r.td) == [], name
             got = f"width {width(r.td)}"
-        lines.append(f"{name} k={k}: {got}, {st.splits} splits, {elapsed:.2f}s")
+        lines.append(
+            f"{name} k={k}: {got}, {len(r.td.bags)} bags, {st.passes} passes, "
+            f"{st.splits} splits, {elapsed:.2f}s"
+        )
     record(
         "criterion 6c (known treewidth beyond the oracle): PASS - " + "; ".join(lines)
     )

@@ -24,7 +24,7 @@ from twapx import (
     TreeDecomposition,
     exhaustive_min_split,
 )
-from twapx.dpengine import SEP, _canon, _lows, decode
+from twapx.dpengine import SEP, _canon, _full_lows, decode
 from twapx.improver import _with_sentinel, reduce_width_pass
 from twapx.splits import is_valid_split
 from twapx.treedec import normalize_degree3
@@ -128,7 +128,7 @@ def brute_table(g, engine, i):
     for code, hd in full.items():
         for other in relabellings(code, size, engine.groups):
             assert full.get(other) == hd, (code, other)
-    lows = _lows(engine.bag_list[i])
+    lows = _full_lows(len(engine.bag_list[i]))
     return {code: hd for code, hd in full.items() if _canon(code, lows) == code}
 
 
@@ -194,7 +194,7 @@ def test_encode_decode_round_trip():
 
 def test_canon_is_least_relabelling():
     for size in range(7):
-        lows = _lows(list(range(size)))
+        lows = _full_lows(size)
         for code in range(4 ** size):
             canon = _canon(code, lows)
             assert canon == min(relabellings(code, size, 3)), (size, code)
@@ -388,6 +388,20 @@ def test_subset_bag_lifts_match_brute_force(name, groups, cap):
             assert e.table[i] == brute_table(SUBSET_GRAPH, e, i), (root, i)
 
 
+def plain_join(a, b, lows, hmax):
+    """The join of two tables over one bag, written out: the codes both
+    hold, with h = h1 + h2 less the separator digits at lows and d = d1 +
+    d2, keeping h <= hmax."""
+    out = {}
+    for code, (h1, d1) in a.items():
+        if code in b:
+            h2, d2 = b[code]
+            h = h1 + h2 - (code & (code >> 1) & lows).bit_count()
+            if h <= hmax:
+                out[code] = (h, d1 + d2)
+    return out
+
+
 @pytest.mark.parametrize("cap", [None, 2])
 @pytest.mark.parametrize("groups", [2, 3])
 def test_fold_is_the_join_with_the_lift(groups, cap):
@@ -403,13 +417,14 @@ def test_fold_is_the_join_with_the_lift(groups, cap):
         for c, i in e.parent.items():
             if i is None:
                 continue
-            bag, lows = e.bag_list[i], _lows(e.bag_list[i])
+            bag, lows = e.bag_list[i], _full_lows(len(e.bag_list[i]))
             local = e._introduce_all({0: (0, 0)}, [], bag)
             for tab in (local, e.table[i]):
-                e._lifts = {}
+                e._edges = {}
                 folded = e._fold(tab, c, i)
-                frame = e._lifts[c, i][2]
-                assert folded == e._join(tab, e._lift(c, i), lows), (c, i)
+                frame = e._edges[c, i][2][0]
+                want = plain_join(tab, e._lift(c, i), lows, e.hmax)
+                assert folded == want, (c, i)
             if len(frame) == len(bag):
                 frames["parent"] += 1
             elif len(frame) == len(e.bag_list[c]):
@@ -439,9 +454,10 @@ def walk_passes(groups, cap, seed, check):
     followed by random moves, each with a deepen edit, and then next_pass,
     with the start leaf at the root every other time. check(e, removed)
     runs after every move, edit and next_pass, with the node ids that call
-    removed. A next_pass that narrows hmax keeps no lift; one that does not
-    keeps every lift but the start leaf's. Returns how many kept lifts, with
-    their child table still standing, came through next_pass."""
+    removed. A next_pass that narrows hmax keeps no edge entry; one that
+    does not keeps every entry but the start leaf's. Returns how many kept
+    entries, with their child table still standing, came through
+    next_pass."""
     rng = random.Random(seed)
     survived = passes = 0
     for _ in range(6):
@@ -471,17 +487,17 @@ def walk_passes(groups, cap, seed, check):
                 e.move_to(sentinel)
             if max(len(b) for b in e.bags.values()) < 5:
                 break
-            hmax, kept = e.hmax, dict(e._lifts)
+            hmax, kept = e.hmax, dict(e._edges)
             e.next_pass(sentinel)
             check(e, (sentinel,))
             through = [
                 key for key, entry in kept.items()
-                if e._lifts.get(key) is entry and e.table[key[0]] is entry[0]
+                if e._edges.get(key) is entry and e.table[key[0]] is entry[0]
             ]
             if e.hmax < hmax:
                 assert not through
             else:
-                assert all(key in e._lifts for key in kept if sentinel not in key)
+                assert all(key in e._edges for key in kept if sentinel not in key)
                 survived += len(through)
     return survived
 
@@ -489,34 +505,29 @@ def walk_passes(groups, cap, seed, check):
 def assert_lifts_exact(e, _removed):
     """Every kept edge entry whose child still holds the table it was made
     from is what an engine keeping nothing makes afresh: its forgotten
-    table, frame and pack plan, and its introduced lift, when kept, is the
-    introduce step run afresh on that forgotten table. Every table is the
-    one built from the leaves up with nothing kept."""
+    table and its whole pack plan. Every table is the one built from the
+    leaves up with nothing kept."""
     fresh = copy.copy(e)
-    fresh._lifts = {}
-    for (c, p), (tab, proj, frame, lifted, plan) in e._lifts.items():
+    fresh._edges = {}
+    for (c, p), (tab, proj, plan) in e._edges.items():
         if e.table[c] is not tab:
             continue
-        _tab, want, want_frame, _none, want_plan = fresh._forget(c, p)
-        assert (proj, frame, plan[:3]) == (want, want_frame, want_plan[:3]), (c, p)
-        if plan[3] is not None:
-            assert plan[3:] == list(fresh._parent_plan(want_plan, c, p)), (c, p)
-        if lifted is not None:
-            assert lifted == fresh._introduce_all(want, frame, e.bag_list[p]), (c, p)
-    fresh.table, fresh._lifts = {}, {}
+        _tab, want, want_plan = fresh._forget(c, p)
+        assert (proj, plan) == (want, want_plan), (c, p)
+    fresh.table, fresh._edges = {}, {}
     for i in reversed(subtree_nodes(e, e.root)):
         fresh._compute_table(i)
     assert fresh.table == e.table
 
 
 def assert_lifts_on_tree_edges(e, removed):
-    """The kept lifts name no removed node, only tree edges, so there are at
-    most two per edge."""
+    """The kept edge entries name no removed node, only tree edges, so
+    there are at most two per edge."""
     edges = {(c, p) for c, p in e.parent.items() if p is not None}
-    for c, p in e._lifts:
+    for c, p in e._edges:
         assert c not in removed and p not in removed, (c, p, removed)
         assert (c, p) in edges or (p, c) in edges, (c, p)
-    assert len(e._lifts) <= 2 * (len(e.bags) - 1)
+    assert len(e._edges) <= 2 * (len(e.bags) - 1)
 
 
 @pytest.mark.parametrize("cap", [None, 2])
@@ -529,7 +540,7 @@ def test_kept_lifts_are_exact(monkeypatch, groups, cap):
     forget = SplitEngine._forget
 
     def counted(e, c, p):
-        kept = e._lifts.get((c, p))
+        kept = e._edges.get((c, p))
         if kept is not None:
             kept_current[kept[0] is e.table[c]] += 1
         return forget(e, c, p)
@@ -690,14 +701,14 @@ def test_propagated_states_form_valid_split(groups):
             h, d = objective
             w = set(t.bags[root])
             # every node reads in place, with no move and no table kernel run ...
-            e._lift = e._join = e._introduce_all = _no_kernel
+            e._lift = e._fold = e._introduce_all = _no_kernel
             in_place = {i: e.state_query(i) for i in e.bags}
             assert (e.root, e.moves, e.tables_computed) == (root, 0, len(t.bags))
             # ... every state read back is a relabelling of a code of its
             # node's table with that code's (h, d) pair ...
             assert set(e.state) == set(e.bags)
             for i, (c, hi, di) in e.state.items():
-                assert e.table[i][_canon(c, _lows(e.bag_list[i]))] == (hi, di)
+                assert e.table[i][_canon(c, _full_lows(len(e.bag_list[i])))] == (hi, di)
             # ... and the restrictions fuse into one valid split of the root bag
             group = {}
             for parts in in_place.values():

@@ -41,7 +41,26 @@ CASES = {
     # failed two-way pass is the certificate
     "k10-two-way-certificate": lambda: (clique(10), None, 1),
     "grid4x4-lower-bound": lambda: (grid_graph(4, 4), None, 1),
+    # larger runs that load the engine: many splits, moves and edits
+    "ktree2-n200": lambda: (*coarse_ktree(7, 200, 2, 7), 2),
+    # 5 passes, the first 3 two-way on one reused engine
+    "ktree1-n100-two-way": lambda: (*coarse_ktree(7, 100, 1, 9), 1),
+    "ktree3-n120": lambda: (*coarse_ktree(7, 120, 3, 12), 3),
+    # bags of 8 < 3k+4 from the min-degree seed: a three-way certificate
+    "grid5x8-three-way-certificate": lambda: (grid_graph(5, 8), None, 2),
+    # the min-degree seed coarsened to bags of 12 >= 3k+4: one split, then a
+    # bag with no two-way split is the certificate
+    "grid6x30-two-way-certificate": lambda: (
+        grid_graph(6, 30),
+        coarsen(initial_decomposition(grid_graph(6, 30), "min-degree"), 12),
+        2,
+    ),
+    "ktree2-n40-check": lambda: (*coarse_ktree(7, 40, 2, 7), 2),
 }
+
+# cases run with check=True, which compares every query with the oracle or
+# with a new engine over the export
+CHECKED = {"ktree2-n40-check"}
 
 # name -> (first output line, sha256 of the full text,
 #          (passes, two_way_passes, splits, moves, tables))
@@ -66,6 +85,36 @@ PINNED = {
         "1805a37b0a54bba1d9fc957a1fbc94f62ba15f78afea63add07ef7557e8701fd",
         (1, 0, 2, 4, 18),
     ),
+    "ktree2-n200": (
+        "s td 152 6 200",
+        "f6492052620bbf5c173c94c7dc6c458acbba6d29f30a1dcd32ce24b006dafa2d",
+        (1, 0, 22, 130, 481),
+    ),
+    "ktree1-n100-two-way": (
+        "s td 98 4 100",
+        "a027d8ee291bfee5ecc64108b944ce815253ccdb017c86208baf5077d6fca70c",
+        (5, 3, 31, 247, 835),
+    ),
+    "ktree3-n120": (
+        "s td 95 8 120",
+        "f09250bca31e89c7a5d40f13e364265704c2ff86376285b118ed6d97a44b6cf2",
+        (4, 0, 20, 236, 733),
+    ),
+    "grid5x8-three-way-certificate": (
+        "LOWERBOUND k=2 bag 5 12 17 18 20 27 28 37",
+        "7b7a0ae190b88f8e8e71b1493dde133088ffa38c4daa43935b4166a706fa496c",
+        (1, 0, 0, 7, 55),
+    ),
+    "grid6x30-two-way-certificate": (
+        "LOWERBOUND k=2 bag 25 56 58 87 89 90 116 117 118 147 148 177",
+        "7ee6487a08a029501f39f19274f4c0ed1b41f3c294316ccc90a4c5a0065b743a",
+        (1, 1, 1, 30, 114),
+    ),
+    "ktree2-n40-check": (
+        "s td 29 6 40",
+        "31e5739f80ba4f89226fea6005197487b345d19867842769ad7427ae3259cfb9",
+        (1, 0, 3, 13, 68),
+    ),
 }
 
 
@@ -73,7 +122,7 @@ PINNED = {
 def test_output_is_byte_identical(name):
     g, t0, k = CASES[name]()
     st = RunStats()
-    text = result_text(approximate(g, k, t0=t0, stats=st))
+    text = result_text(approximate(g, k, t0=t0, check=name in CHECKED, stats=st))
     counts = (st.passes, st.two_way_passes, st.splits, st.moves, st.tables)
     got = (text.splitlines()[0], hashlib.sha256(text.encode()).hexdigest(), counts)
     assert got == PINNED[name]
