@@ -3,7 +3,15 @@ and elimination-ordering bootstrap heuristics.
 
 The bootstrap plays the elimination game once: each move appends the
 eliminated vertex's bag, and the same bags are then linked into the tree,
-whether the order is given or chosen greedily (min-degree, min-fill).
+whether the order is given or chosen greedily (min-degree, min-fill). The
+greedy game keeps every score current by deltas and queues plain vertex ids,
+one heap per score, so neither strategy recounts a vertex's score in full.
+
+The validator and the bootstrap are the whole of a call whose input is
+already narrow enough, so both avoid a Python container per bag, per tree
+edge or per queue entry: `validate` works on the sorted bags themselves and
+on flat lists indexed by node or vertex, and the game frees each vertex's
+neighbour set once it is eliminated.
 
 Node ids are list indices (0-based); bags are sorted vertex lists. The .td
 format is 1-based on both bag ids and vertices.
@@ -11,11 +19,12 @@ format is 1-based on both bag ids and vertices.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import accumulate, combinations, islice
+from operator import lt
 
 from .errors import ParseError
 from .graph import Graph
@@ -70,111 +79,129 @@ def validate(g: Graph, t: TreeDecomposition) -> list[str]:
 
     Returns a list of human-readable violations (empty when valid), each
     naming the failed condition and a witness.
+
+    It allocates no container per bag or per tree edge: only flat lists
+    indexed by node or by vertex, and one set of int edge keys. A bag is
+    checked for order pairwise and for range at its two ends; a tree edge
+    is keyed as a*nn+b, and union-find over the nodes tests the tree, whose
+    hole is the smallest node not joined to node 0. The bags holding each
+    vertex sit in one flat list, grouped by vertex, and edge coverage and
+    the shared vertices of tree edges are looked up by bisect in the sorted
+    bags.
     """
     out: list[str] = []
-    nn = len(t.bags)
+    n = g.n
+    bags = t.bags
+    nn = len(bags)
 
     ok_bags = True
-    for i, bag in enumerate(t.bags):
-        prev = None
-        ordered = True
-        for x in bag:
-            if prev is not None and x <= prev:
-                ordered = False
-                break
-            prev = x
-        if not ordered:
+    for i, bag in enumerate(bags):
+        if not all(map(lt, bag, islice(bag, 1, None))):
             out.append(f"structure: bag {i} is not a sorted duplicate-free list")
             ok_bags = False
-            continue
-        for x in bag:
-            if not (0 <= x < g.n):
-                out.append(f"structure: bag {i} contains out-of-range vertex {x}")
-                ok_bags = False
+        elif bag and (bag[0] < 0 or bag[-1] >= n):
+            for x in bag:
+                if not (0 <= x < n):
+                    out.append(f"structure: bag {i} contains out-of-range vertex {x}")
+            ok_bags = False
 
     if t.root is not None and not (0 <= t.root < nn):
         out.append(f"structure: root {t.root} out of range for {nn} nodes")
 
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    seen_edges: set[tuple[int, int]] = set()
+    up = list(range(nn))  # union-find forest over the nodes
+    joined = 0
+    seen: set[int] = set()
     ok_edges = True
     for a, b in t.edges:
         if not (0 <= a < nn and 0 <= b < nn) or a == b:
             out.append(f"structure: bad tree edge ({a}, {b})")
             ok_edges = False
             continue
-        key = (min(a, b), max(a, b))
-        if key in seen_edges:
+        key = a * nn + b if a < b else b * nn + a
+        if key in seen:
             out.append(f"structure: duplicate tree edge ({a}, {b})")
             ok_edges = False
             continue
-        seen_edges.add(key)
-        adj[a].append(b)
-        adj[b].append(a)
+        seen.add(key)
+        ra, rb = _find(up, a), _find(up, b)
+        if ra != rb:
+            up[ra] = rb
+            joined += 1
+    n_edges = len(seen)
 
     if ok_edges and nn >= 1:
-        if len(seen_edges) != nn - 1:
-            out.append(f"tree: {nn} nodes but {len(seen_edges)} edges")
-        else:
-            reach = [False] * nn
-            reach[0] = True
-            stack = [0]
-            count = 1
-            while stack:
-                cur = stack.pop()
-                for nb in adj[cur]:
-                    if not reach[nb]:
-                        reach[nb] = True
-                        count += 1
-                        stack.append(nb)
-            if count != nn:
-                hole = reach.index(False)
-                out.append(f"tree: node {hole} unreachable from node 0")
+        if n_edges != nn - 1:
+            out.append(f"tree: {nn} nodes but {n_edges} edges")
+        elif joined != nn - 1:
+            r0 = _find(up, 0)
+            hole = next(i for i in range(nn) if _find(up, i) != r0)
+            out.append(f"tree: node {hole} unreachable from node 0")
+    del seen, up  # free them before the per-vertex lists are built
 
     if not ok_bags:
         return out
 
-    bag_sets = [set(b) for b in t.bags]
-    occ: list[list[int]] = [[] for _ in range(g.n)]
-    for i, bag in enumerate(t.bags):
+    # first[x] .. first[x+1]-1 index the bags holding x in `holders`
+    count = [0] * n
+    for bag in bags:
         for x in bag:
-            occ[x].append(i)
+            count[x] += 1
+    first = [0, *accumulate(count)]
+    holders = [0] * first[-1]
+    cursor = first[1:]  # filled from the back, so each run ascends
+    for i in range(nn - 1, -1, -1):
+        for x in bags[i]:
+            cursor[x] -= 1
+            holders[cursor[x]] = i
+    del cursor
 
-    for v in range(g.n):
-        if not occ[v]:
+    for v in range(n):
+        if not count[v]:
             out.append(f"coverage: vertex {v} appears in no bag")
 
-    for u in range(g.n):
-        nodes_u = occ[u]
+    for u in range(n):
+        cu = count[u]
+        if not cu:
+            continue  # already a coverage violation
         for v in g.adj[u]:
-            if u < v:
-                nodes_v = occ[v]
-                if not nodes_u or not nodes_v:
-                    continue  # already a coverage violation
-                short, other = (nodes_u, v) if len(nodes_u) <= len(nodes_v) else (nodes_v, u)
-                for i in short:
-                    if other in bag_sets[i]:
+            if u < v and count[v]:
+                if cu <= count[v]:
+                    lo, hi, other = first[u], first[u + 1], v
+                else:
+                    lo, hi, other = first[v], first[v + 1], u
+                for j in range(lo, hi):
+                    bag = bags[holders[j]]
+                    at = bisect_left(bag, other)
+                    if at < len(bag) and bag[at] == other:
                         break
                 else:
                     out.append(f"edge coverage: edge ({u}, {v}) is inside no bag")
 
-    if ok_edges and len(seen_edges) == max(nn - 1, 0):
+    if ok_edges and n_edges == max(nn - 1, 0):
         # nodes containing v form a subtree iff (#nodes) - (#tree edges with v
         # in both endpoint bags) == 1
-        shared = [0] * g.n
-        for a, b in seen_edges:
-            sa, sb = bag_sets[a], bag_sets[b]
+        shared = [0] * n
+        for a, b in t.edges:
+            sa, sb = bags[a], bags[b]
             if len(sa) > len(sb):
                 sa, sb = sb, sa
+            at = 0
             for x in sa:
-                if x in sb:
+                at = bisect_left(sb, x, at)
+                if at < len(sb) and sb[at] == x:
                     shared[x] += 1
-        for v in range(g.n):
-            nodes = occ[v]
-            if nodes and len(nodes) - shared[v] != 1:
+        for v in range(n):
+            if count[v] and count[v] - shared[v] != 1:
                 out.append(f"connectivity: bags containing vertex {v} are disconnected")
 
     return out
+
+
+def _find(up: list[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while up[i] != i:
+        up[i] = i = up[up[i]]
+    return i
 
 
 def root_and_home_bags(t: TreeDecomposition, r: int) -> RootedView:
@@ -341,20 +368,46 @@ def emit_td(t: TreeDecomposition) -> str:
 STRATEGIES = ("trivial", "min-degree", "min-fill")
 
 
-def _eliminate(adj: list[set[int]], v: int, bags: list[list[int]]) -> list[tuple[int, int]]:
-    """One move of the elimination game: append v's bag, drop v from its
-    neighbours and make them a clique. Returns the fill edges added."""
+def _eliminate(
+    adj: list[set[int] | None], v: int, bags: list[list[int]], fill: list[int] | None = None
+) -> set[int] | list[int]:
+    """One move of the elimination game: append v's bag, make v's neighbours
+    a clique, drop v from them and free v's set.
+
+    Returns the vertices whose score may have changed: v's neighbours, and
+    with fill (every vertex's fill-in, kept current here) also the common
+    neighbours of each fill edge. A fill edge (a, b), added while v is still
+    present, takes 1 off each common neighbour of a and b and adds
+    |N(a) - N(b)| to a and |N(b) - N(a)| to b; dropping v then takes
+    |N(a)| - |N(v)| off each neighbour a, the pairs (v, y) with y outside
+    v's closed neighbourhood.
+    """
     nb = sorted(adj[v])
-    bags.append(sorted([v] + nb))
-    for a in nb:
-        adj[a].discard(v)
-    fill = []
+    adj[v] = None
+    bags.append(sorted([v, *nb]))
+    touched = set(nb) if fill is not None else nb
     for a, b in combinations(nb, 2):
-        if b not in adj[a]:
-            adj[a].add(b)
-            adj[b].add(a)
-            fill.append((a, b))
-    return fill
+        sa = adj[a]
+        if b not in sa:
+            sb = adj[b]
+            if fill is not None:
+                common = sa & sb
+                for c in common:
+                    fill[c] -= 1
+                fill[a] += len(sa) - len(common)
+                fill[b] += len(sb) - len(common)
+                touched |= common
+            sa.add(b)
+            sb.add(a)
+    d = len(nb)
+    for a in nb:
+        sa = adj[a]
+        if fill is not None:
+            fill[a] -= len(sa) - d
+        sa.discard(v)
+    if fill is not None:
+        touched.discard(v)
+    return touched
 
 
 def _elimination_tree(order: list[int], bags: list[list[int]]) -> TreeDecomposition:
@@ -367,11 +420,14 @@ def _elimination_tree(order: list[int], bags: list[list[int]]) -> TreeDecomposit
     n = len(order)
     if n == 0:
         return TreeDecomposition([[]], [], root=0)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     edges = []
     for i, v in enumerate(order):
-        p = min((pos[x] for x in bags[i] if x != v), default=None)
-        if p is not None:
+        pos[v] = n  # bag i's other vertices are all eliminated after v
+        p = min(map(pos.__getitem__, bags[i]))
+        if p < n:
             edges.append((i, p))
         elif i + 1 < n:
             edges.append((i, i + 1))
@@ -387,45 +443,72 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    adj = [set(a) for a in g.adj]
+    adj: list[set[int] | None] = [set(a) for a in g.adj]
     bags: list[list[int]] = []
     for v in order:
         _eliminate(adj, v, bags)
     return _elimination_tree(order, bags)
 
 
-def _degree(adj: list[set[int]], v: int) -> int:
-    return len(adj[v])
+def _fill_counts(adj: list[set[int]]) -> list[int]:
+    """Every vertex's fill-in: C(deg, 2) less the edges among its
+    neighbours, counted as triangles over each edge."""
+    tri = [0] * len(adj)
+    for u, su in enumerate(adj):
+        for w in su:
+            if u < w:
+                c = len(su & adj[w])
+                tri[u] += c
+                tri[w] += c
+    return [len(su) * (len(su) - 1) // 2 - tri[u] // 2 for u, su in enumerate(adj)]
 
 
-def _fill_in(adj: list[set[int]], v: int) -> int:
-    """Number of fill edges that eliminating v would add."""
-    return sum(b not in adj[a] for a, b in combinations(adj[v], 2))
-
-
-def _greedy(g: Graph, score: Callable[[list[set[int]], int], int]) -> TreeDecomposition:
+def _greedy(g: Graph, min_fill: bool) -> TreeDecomposition:
     """Play the elimination game on a vertex of least score each move (ties
-    to the smaller id). A move can change the score only of v's neighbours
-    and of the common neighbours of each fill edge, so only those are
-    re-scored."""
-    adj = [set(a) for a in g.adj]
-    scores: list[int | None] = [score(adj, v) for v in range(g.n)]
-    heap = [(s, v) for v, s in enumerate(scores)]
-    heapq.heapify(heap)
+    to the smaller id): its degree, or with min_fill its fill-in.
+
+    The scores are kept current by deltas: a degree is read off the
+    neighbour set after the move, and fill-ins are counted once up front
+    and then updated by `_eliminate`. The queue is one heap of vertex ids
+    per score, plus a heap of the scores that have one, so no entry is a
+    tuple. A vertex is re-queued only when its score changes; an entry
+    whose score is no longer the vertex's is dropped when popped.
+    """
+    adj: list[set[int] | None] = [set(a) for a in g.adj]
+    fill = _fill_counts(adj) if min_fill else None
+    score = list(fill) if min_fill else list(map(len, adj))
+    queue: dict[int, list[int]] = {}  # score -> heap of vertex ids
+    levels: list[int] = []  # heap of the scores in queue
+
+    def push(s: int, v: int) -> None:
+        ids = queue.get(s)
+        if ids is None:
+            queue[s] = [v]
+            heappush(levels, s)
+        else:
+            heappush(ids, v)
+
+    for v, s in enumerate(score):
+        push(s, v)
     order: list[int] = []
     bags: list[list[int]] = []
-    while heap:
-        s, v = heapq.heappop(heap)
-        if s != scores[v]:  # stale entry, or v already eliminated
-            continue
-        scores[v] = None
+    for _ in range(g.n):
+        while True:
+            s = levels[0]
+            ids = queue[s]
+            v = heappop(ids)
+            if not ids:
+                del queue[s]
+                heappop(levels)
+            if score[v] == s:  # else stale, or v already eliminated
+                break
+        score[v] = -1
         order.append(v)
-        touched = set(adj[v])
-        for a, b in _eliminate(adj, v, bags):
-            touched |= adj[a] & adj[b]
-        for a in touched:
-            scores[a] = score(adj, a)
-            heapq.heappush(heap, (scores[a], a))
+        for a in _eliminate(adj, v, bags, fill):
+            s = fill[a] if min_fill else len(adj[a])
+            if s != score[a]:
+                score[a] = s
+                push(s, a)
     return _elimination_tree(order, bags)
 
 
@@ -441,7 +524,7 @@ def initial_decomposition(g: Graph, strategy: str = "min-degree") -> TreeDecompo
     if strategy == "trivial":
         return TreeDecomposition([list(range(g.n))], [], root=0)
     if strategy == "min-degree":
-        return _greedy(g, _degree)
+        return _greedy(g, min_fill=False)
     if strategy == "min-fill":
-        return _greedy(g, _fill_in)
+        return _greedy(g, min_fill=True)
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")

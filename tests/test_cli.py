@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import twapx
-from twapx import emit_gr, emit_td, parse_td, validate, width
+from twapx import emit_gr, emit_td, parse_gr, parse_td, validate, width
 from twapx.cli import run_cli
 
+import reference_treedec
 from gen import clique, coarsen, partial_ktree, path_graph
 
 P3_GR = "p tw 3 2\n1 2\n2 3\n"
@@ -146,6 +147,27 @@ def test_validate_ok_and_fail(p3, tmp_path, capsys):
     assert run_cli(["validate", "--graph", str(p3), "--td", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "edge coverage" in out or "coverage" in out
+
+
+def test_validate_prints_every_violation_in_the_reference_order(tmp_path, capsys):
+    gr = tmp_path / "g.gr"
+    gr.write_text("p tw 6 6\n1 2\n2 3\n3 4\n4 5\n1 3\n5 6\n")
+    # bags 1-3 close a cycle, so bags 4-5 hang apart; vertices 5 and 6 are in
+    # no bag, edge 1-3 in none, and vertices 1, 2, 4 sit in split-up bags
+    td = tmp_path / "bad.td"
+    td.write_text("s td 5 2 6\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 1 2\nb 5 4\n1 2\n2 3\n1 3\n4 5\n")
+    assert run_cli(["validate", "--graph", str(gr), "--td", str(td)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == reference_treedec.validate(parse_gr(gr.read_text()), parse_td(td.read_text()))
+    assert lines == [
+        "tree: node 3 unreachable from node 0",
+        "coverage: vertex 4 appears in no bag",
+        "coverage: vertex 5 appears in no bag",
+        "edge coverage: edge (0, 2) is inside no bag",
+        "connectivity: bags containing vertex 0 are disconnected",
+        "connectivity: bags containing vertex 1 are disconnected",
+        "connectivity: bags containing vertex 3 are disconnected",
+    ]
 
 
 def test_exact_command(p3, k3, capsys):
