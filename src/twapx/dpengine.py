@@ -17,9 +17,10 @@ split test only gets easier as nsep falls, and every kernel step keeps
 (nsep, cost) order (a lift adds nsep minus a per-code constant to cost, an
 introduce adds one to nsep, a join adds pairs and subtracts a per-code
 constant from nsep, a forget takes minima). Codes keep nsep <= hmax, the
-largest bag size minus one or the engine's cap, whichever is smaller; nsep
-never falls along a lift or a join, so a capped table is the uncapped one
-with its codes of nsep > cap dropped.
+largest bag size minus one when the engine is built or the engine's cap,
+whichever is smaller, fixed for the engine's life; nsep never falls along a
+lift or a join, so a capped table is the uncapped one with its codes of
+nsep > cap dropped.
 
 The groups are interchangeable: relabelling the groups of a code keeps its
 split test, nsep and cost, so every table is closed under the 6 relabellings
@@ -46,8 +47,7 @@ tree edge keeps one entry, (the child table it came from, its forgotten
 table, the plan that packs codes of either bag onto the shared vertices),
 and reuses it for as long as the child holds that very table (_forget); no
 lift is kept. Edits and next_pass drop the entries of the nodes they
-remove, and next_pass drops them all when it narrows hmax, so at most one
-entry per directed tree edge stands.
+remove, so at most one entry per directed tree edge stands.
 
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is the
@@ -56,8 +56,8 @@ split of the root bag, read back per-node restrictions of the chosen split in
 place (one scan of each child table, building no table), and splice a
 replacement subtree over a region containing the root (recomputes only the new
 tables). A split stays active from the query until the next move or edit,
-which end it. Between passes, next_pass drops the empty start leaf wherever
-it is, narrows hmax to the new width and hangs a new start leaf, so one engine
+which end it. Between passes, next_pass drops the empty start leaf, which
+must hang below the pointer, and hangs a new one; hmax stays, so one engine
 serves consecutive passes with the same number of groups.
 """
 
@@ -84,9 +84,7 @@ def _full_lows(size: int) -> int:
     return ((1 << 2 * size) - 1) // 3
 
 
-def _pack_plan(
-    bag: list[int], keep: frozenset[int]
-) -> tuple[int, list[tuple[int, int]]]:
+def _pack_plan(bag: list[int], keep: list[int]) -> tuple[int, list[tuple[int, int]]]:
     """How codes over bag pack onto the vertices of bag in keep: the low bits
     of their digits within bag, and (mask, shift) runs, so that OR-ing
     together (code & mask) >> shift gives the code over those vertices."""
@@ -187,15 +185,14 @@ class SplitEngine:
                 raise ContractViolation(f"node {i} has degree {len(nb)} > 3")
         self.g = g
         self.groups = groups
-        self.cap = cap
-        self._set_width(max((len(b) for b in t.bags), default=1) - 1)
+        self.width = max([0] + [len(b) - 1 for b in t.bags])
+        self.hmax = self.width if cap is None else min(self.width, cap)
 
         r = root if root is not None else (t.root if t.root is not None else 0)
         if not (0 <= r < len(t.bags)):
             raise ContractViolation(f"root {r} out of range")
 
-        self.bags: dict[int, frozenset[int]] = {}
-        self.bag_list: dict[int, list[int]] = {}
+        self.bag_list: dict[int, list[int]] = {i: list(b) for i, b in enumerate(t.bags)}
         self.parent: dict[int, int | None] = {}
         self.children: dict[int, list[int]] = {}
         self.table: dict[int, dict[int, tuple[int, int]]] = {}
@@ -205,17 +202,7 @@ class SplitEngine:
 
         self.tables_computed = self.moves = 0
         self.edits = self.bags_inserted = self.bags_removed = 0
-
-        for i, bag in enumerate(t.bags):
-            self.bags[i] = frozenset(bag)
-            self.bag_list[i] = list(bag)
         self._orient(dict(enumerate(adj)), r)
-
-    def _set_width(self, width: int) -> None:
-        """Record the largest bag size minus one as width, and let hmax be
-        width or cap, whichever is smaller."""
-        self.width = max(width, 0)
-        self.hmax = self.width if self.cap is None else min(self.width, self.cap)
 
     def _orient(self, adj: dict[int, list[int]], root: int) -> None:
         """Root the nodes of adj at root, breadth-first: every neighbour not
@@ -271,8 +258,7 @@ class SplitEngine:
         stores a new dict), node ids are never reused, and the entry holds the
         child table, so its identity cannot pass to another. Besides that
         table, an entry reads only what a node id fixes (the two bags, the
-        graph, the groups) and hmax, which only next_pass changes; next_pass
-        empties _edges when it narrows hmax.
+        graph, the groups) and hmax, which is fixed when the engine is built.
         """
         tab = self.table[child]
         kept = self._edges.get((child, i))
@@ -280,10 +266,10 @@ class SplitEngine:
             return kept
         cbag = self.bag_list[child]
         if kept is None:
-            pset = self.bags[i]
-            frame = [v for v in cbag if v in pset]
-            shared, runs = _pack_plan(cbag, pset)
-            plows, pruns = _pack_plan(self.bag_list[i], self.bags[child])
+            pbag = self.bag_list[i]
+            frame = [v for v in cbag if v in pbag]
+            shared, runs = _pack_plan(cbag, pbag)
+            plows, pruns = _pack_plan(pbag, cbag)
             plan = (frame, shared, runs, _full_lows(len(frame)), pruns, plows)
         else:
             plan = kept[2]
@@ -464,7 +450,7 @@ class SplitEngine:
     def move_to(self, target: int) -> None:
         """Re-root at target, stepping one tree edge at a time. Ends the
         active split, if any."""
-        if target not in self.bags:
+        if target not in self.bag_list:
             raise ContractViolation(f"unknown node {target}")
         self.state = {}
         path = [target]
@@ -526,8 +512,7 @@ class SplitEngine:
         first appear in label order). Every state is the pair of its code,
         and a join adds the children's lifted pairs, so these least pairs add
         up to (h, d). The final check guards that. Builds no table: the pack
-        plan comes from the edge entry (_forget), which makes only a
-        forgotten table where next_pass dropped an entry.
+        plan comes from the edge entry (_forget).
         """
         kids = self.children[i]
         code, h, d = self.state[i]
@@ -641,7 +626,7 @@ class SplitEngine:
         if not removed or self.root not in removed:
             raise ContractViolation("edit region must be nonempty and contain the root")
         for i in removed:
-            if i not in self.bags:
+            if i not in self.bag_list:
                 raise ContractViolation(f"removed node {i} does not exist")
         # region connectivity
         stack = [self.root]
@@ -704,7 +689,6 @@ class SplitEngine:
             for nb in self._neighbors(i):
                 self._edges.pop((i, nb), None)
                 self._edges.pop((nb, i), None)
-            del self.bags[i]
             del self.bag_list[i]
             del self.table[i]
             del self.parent[i]
@@ -713,7 +697,6 @@ class SplitEngine:
         ids = list(range(self._next_id, self._next_id + nn))
         self._next_id += nn
         for loc, bag in enumerate(plan.bags):
-            self.bags[ids[loc]] = frozenset(bag)
             self.bag_list[ids[loc]] = sorted(bag)
         adj_new: dict[int, list[int]] = {i: [] for i in ids}
         for a, b in plan.edges:
@@ -733,52 +716,43 @@ class SplitEngine:
     def next_pass(self, start: int) -> None:
         """Ready the engine for the next pass without rebuilding it.
 
-        start must be the empty start leaf of the pass just ended, wherever
-        the pointer is. It is dropped: an empty leaf's lift is its
+        start must be the empty start leaf of the pass just ended, a leaf
+        below the pointer. It is dropped: an empty leaf's lift is its
         neighbour's local table, which a join leaves unchanged, so no table
-        changes; at the root, its one child takes over. hmax narrows to the
-        new width (codes of h > hmax are dropped, which is exact, see the
-        module docstring), the pointer moves to the smallest node id of
-        degree <= 2 and a new empty leaf, id _next_id with the constant table
-        {0: (0, 0)}, is hung there and moved to. So every table is what a new
-        engine over the same nodes, rooted at that leaf, would build. The
-        edge entries of the dropped leaf go; when hmax narrows, every table
-        is filtered into a new dict and all of them go. The counters restart,
-        as for a new engine, and count the moves and their tables.
+        changes, and its edge entries go. The width may only fall; hmax,
+        fixed when the engine was built, stays. A new empty leaf, id _next_id
+        with the constant table {0: (0, 0)}, is hung at the smallest node id
+        of degree <= 2, and the pointer moves to it; that leaf changes no join
+        either. So every table is what a new engine over the same nodes,
+        rooted at that leaf and capped at hmax, would build. An uncapped
+        engine keeps codes up to its first width: they are exact, and cannot
+        pass the split test of a narrower bag. The counters restart, as for a
+        new engine, and count the moves and their tables.
         """
-        if start not in self.bags or self.bags[start] or len(self._neighbors(start)) != 1:
-            raise ContractViolation(f"node {start} is not an empty leaf")
+        if (
+            start not in self.bag_list or self.bag_list[start]
+            or start == self.root or self.children[start]
+        ):
+            raise ContractViolation(f"node {start} is not an empty leaf below the pointer")
         width = max(len(b) for b in self.bag_list.values()) - 1
         if width > self.width:
             # the tables have dropped the codes a wider pass would need
             raise ContractViolation(f"width grew from {self.width} to {width}")
+        self.width = width
         self.tables_computed = self.moves = 0
         self.edits = self.bags_inserted = self.bags_removed = 0
-        nb = self._neighbors(start)[0]
-        if start == self.root:
-            self.parent[nb] = None
-            self.root = nb
-        else:
-            self.children[nb].remove(start)
-        for part in (self.bags, self.bag_list, self.table, self.parent, self.children):
+        nb = self.parent[start]
+        self.children[nb].remove(start)
+        for part in (self.bag_list, self.table, self.parent, self.children):
             del part[start]
         self._edges.pop((start, nb), None)
         self._edges.pop((nb, start), None)
-        hmax = self.hmax
-        self._set_width(width)
-        if self.hmax < hmax:
-            self._edges = {}
-            keep = self.hmax
-            for i, tab in self.table.items():
-                self.table[i] = {c: hd for c, hd in tab.items() if hd[0] <= keep}
         attach = min(
             i for i, p in self.parent.items()
             if len(self.children[i]) + (p is not None) <= 2
         )
-        self.move_to(attach)
         leaf = self._next_id
         self._next_id += 1
-        self.bags[leaf] = frozenset()
         self.bag_list[leaf] = []
         self.parent[leaf] = attach
         self.children[leaf] = []
@@ -793,11 +767,12 @@ class SplitEngine:
     ) -> tuple[TreeDecomposition, dict[int, int]]:
         """Snapshot as a TreeDecomposition plus engine-id -> exported-id map.
 
-        skip drops one leaf node (and its incident edge) from the export.
+        skip drops one leaf node below the pointer (and its incident edge)
+        from the export.
         """
-        keep = sorted(i for i in self.bags if i != skip)
-        if skip is not None and skip in self.bags and len(self._neighbors(skip)) > 1:
-            raise ContractViolation(f"cannot skip non-leaf node {skip}")
+        if skip in self.bag_list and (skip == self.root or self.children[skip]):
+            raise ContractViolation(f"cannot skip node {skip}: not a leaf below the pointer")
+        keep = sorted(i for i in self.bag_list if i != skip)
         remap = {i: j for j, i in enumerate(keep)}
         bags = [list(self.bag_list[i]) for i in keep]
         edges = []
@@ -806,7 +781,4 @@ class SplitEngine:
             if p is not None and p != skip:
                 a, b = remap[i], remap[p]
                 edges.append((min(a, b), max(a, b)))
-        root = remap.get(self.root)
-        if root is None and keep:
-            root = remap[self._neighbors(self.root)[0]]
-        return TreeDecomposition(bags, sorted(edges), root=root), remap
+        return TreeDecomposition(bags, sorted(edges), root=remap[self.root]), remap

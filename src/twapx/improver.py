@@ -213,7 +213,7 @@ def build_replacement(
     rnodes = info.nodes
     rset = set(rnodes)
     t = len(rnodes)
-    wsize = len(engine.bags[u])
+    wsize = len(engine.bag_list[u])
 
     bx: dict[int, frozenset[int]] = {}
     for m in reversed(rnodes):
@@ -221,7 +221,7 @@ def build_replacement(
         for c in engine.children[m]:
             if c in rset:
                 acc |= bx[c]
-            acc |= info.states[c][3] - engine.bags[m]
+            acc |= info.states[c][3].difference(engine.bag_list[m])
         bx[m] = frozenset(acc)
 
     for m in rnodes:
@@ -301,14 +301,14 @@ def _count_big(
     for i in order:
         order.extend(c for c in engine.children[i] if c not in big)
     for i in reversed(order):
-        big[i] = (len(engine.bags[i]) > w) + sum(
+        big[i] = (len(engine.bag_list[i]) > w) + sum(
             big[c] for c in engine.children[i] if c not in seen
         )
     return big
 
 
 def _check_assembled_split(
-    g: Graph, w: frozenset[int], info: EditableInfo
+    g: Graph, w: list[int], info: EditableInfo
 ) -> None:
     """Reassemble a full vertex partition from the per-bag restrictions and
     verify it is a valid split of w."""
@@ -341,10 +341,10 @@ class _CheckedEngine(SplitEngine):
     on graphs of at most ORACLE_CHECK_MAX_N vertices, or None when the
     oracle's separator is larger than hmax; on larger graphs it must equal
     the objective of a new engine over the exported decomposition, rooted at
-    the same bag. An edit needs the split that find_editable reads to be a
-    valid split of the root bag; it must lower the count of maximum bags
-    (size width + 1), lower the potential by at least the number of bags it
-    removes, and leave a valid decomposition.
+    the same bag and capped at hmax. An edit needs the split that
+    find_editable reads to be a valid split of the root bag; it must lower
+    the count of maximum bags (size width + 1), lower the potential by at
+    least the number of bags it removes, and leave a valid decomposition.
     """
 
     def split_query(self) -> tuple[int, int] | None:
@@ -354,13 +354,13 @@ class _CheckedEngine(SplitEngine):
         if self.g.n <= ORACLE_CHECK_MAX_N:
             from .oracle import exhaustive_min_split
 
-            bag = self.bags[self.root]
+            bag = self.bag_list[self.root]
             ref = exhaustive_min_split(self.g, exported, root, bag, groups=self.groups)
             want = None if ref is None or ref.objective[0] > self.hmax else ref.objective
             source = "oracle"
         else:
             fresh = SplitEngine(
-                self.g, exported, root=root, groups=self.groups, cap=self.cap
+                self.g, exported, root=root, groups=self.groups, cap=self.hmax
             )
             want = fresh.split_query()
             source = "a new engine"
@@ -371,12 +371,12 @@ class _CheckedEngine(SplitEngine):
         return objective
 
     def _maximum_bags(self) -> int:
-        return sum(1 for b in self.bags.values() if len(b) == self.width + 1)
+        return sum(1 for b in self.bag_list.values() if len(b) == self.width + 1)
 
     def edit(self, plan: EditPlan) -> list[int]:
-        _check_assembled_split(self.g, self.bags[self.root], find_editable(self))
+        _check_assembled_split(self.g, self.bag_list[self.root], find_editable(self))
         pre_max = self._maximum_bags()
-        drop = potential(self.bags[m] for m in plan.removed) - potential(plan.bags)
+        drop = potential(self.bag_list[m] for m in plan.removed) - potential(plan.bags)
         ids = super().edit(plan)
         post_max = self._maximum_bags()
         if post_max >= pre_max:
@@ -446,7 +446,7 @@ def reduce_width_pass(engine: SplitEngine) -> int | None:
             raise ContractViolation(
                 f"walk closed its start leaf with {remaining} bags of size > {w} left"
             )
-        if len(engine.bags[cur]) <= w:
+        if len(engine.bag_list[cur]) <= w:
             path.pop()
             _move_back(engine, path[-1])
             continue
@@ -464,7 +464,7 @@ def reduce_width_pass(engine: SplitEngine) -> int | None:
             path.pop()
         q = path[-1]
         plan = build_replacement(engine, info, q)
-        remaining -= sum(1 for m in info.nodes if len(engine.bags[m]) > w)
+        remaining -= sum(1 for m in info.nodes if len(engine.bag_list[m]) > w)
         new_ids = engine.edit(plan)
         if not remaining:
             break
@@ -477,7 +477,7 @@ def reduce_width_pass(engine: SplitEngine) -> int | None:
             path.append(pointer)
         else:
             _move_back(engine, q)
-    left = sum(1 for b in engine.bags.values() if len(b) > w)
+    left = sum(1 for b in engine.bag_list.values() if len(b) > w)
     if left:
         raise ContractViolation(f"pass ended with {left} bags of size > {w}")
     return None

@@ -56,7 +56,7 @@ def split_distance(x: frozenset[int] | set[int], rv: RootedView) -> int:
 
 def is_valid_split(
     g: Graph,
-    w: frozenset[int] | set[int],
+    w: frozenset[int] | set[int] | list[int],
     c1: frozenset[int] | set[int],
     c2: frozenset[int] | set[int],
     c3: frozenset[int] | set[int],

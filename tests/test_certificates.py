@@ -121,7 +121,7 @@ def test_reference_dp_matches_brute_force(groups):
         g, t, root = small_instance(rng, nmax=8, extra=4)
         e = SplitEngine(g, t, root=root, groups=groups)
         got = reference_tables(g, t, root, groups, e.hmax)
-        for i in e.bags:
+        for i in e.bag_list:
             size = len(e.bag_list[i])
             want = {
                 tuple((code >> 2 * (size - 1 - j)) & 3 for j in range(size)): hd[0]

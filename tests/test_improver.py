@@ -256,7 +256,7 @@ def test_pass_walks_only_toward_maximum_bags(monkeypatch, name, check):
     monkeypatch.setattr(e, "edit", counted_edit)
     assert reduce_width_pass(e) is None
     assert (e.edits, e.bags_inserted, e.bags_removed) == (splits, *edited)
-    assert max(len(b) for b in e.bags.values()) == 2
+    assert max(len(b) for b in e.bag_list.values()) == 2
     assert visited == want
     assert (e.moves, e.tables_computed) == counts
 
@@ -302,7 +302,7 @@ def test_pass_ends_at_its_last_split(monkeypatch):
             events.clear()
             assert reduce_width_pass(e) is None
             assert events[-1] == "edit"
-            assert max(len(b) for b in e.bags.values()) <= w
+            assert max(len(b) for b in e.bag_list.values()) <= w
             passes += 1
             e.next_pass(sentinel)
     assert passes >= 20, passes
@@ -350,29 +350,37 @@ def test_check_mode_catches_a_wrong_root_table_past_the_oracle(monkeypatch):
 
 def assert_matches_a_new_engine(e, g, t, remap, groups, cap):
     """e, just past next_pass, holds what a new engine over t (an export of
-    e before next_pass, with id map remap) plus a start leaf holds."""
+    e before next_pass, with id map remap) plus a start leaf holds, once its
+    tables drop the codes of h > the new engine's hmax: next_pass keeps
+    hmax, so an uncapped e keeps the codes of its first width. Returns the
+    new engine."""
     fresh = SplitEngine(g, _with_sentinel(t), groups=groups, cap=cap)
     ids = {**remap, e.root: fresh.root}
-    assert sorted(ids) == sorted(e.bags) and not e.bags[e.root]
+    assert sorted(ids) == sorted(e.bag_list) and not e.bag_list[e.root]
     for i, j in ids.items():
-        assert e.table[i] == fresh.table[j]
+        kept = {c: hd for c, hd in e.table[i].items() if hd[0] <= fresh.hmax}
+        assert kept == fresh.table[j]
         p = e.parent[i]
         assert (None if p is None else ids[p]) == fresh.parent[j]
         assert [ids[c] for c in e.children[i]] == fresh.children[j]
-    assert (e.width, e.hmax) == (fresh.width, fresh.hmax)
+    assert e.width == fresh.width and e.hmax >= fresh.hmax
     assert e.tables_computed == 2 * e.moves > 0
+    return fresh
 
 
 @pytest.mark.parametrize("groups", [2, 3])
 def test_next_pass_matches_a_new_engine(groups):
     # after each successful pass, the reused engine must hold what a new
-    # engine over the export plus a start leaf holds, under the same cap
+    # engine over the export plus a start leaf holds, under the same cap; an
+    # uncapped engine keeps its first hmax and so the codes of h above the
+    # new one
     rng = random.Random(666)
-    compared = narrowed = below_root = 0
+    compared = wider = 0
     for trial in range(10):
         g, t = partial_ktree(rng, rng.randint(10, 30), k=1)
         cap = (None, 2)[trial % 2]
         e = SplitEngine(g, _with_sentinel(coarsen(t, 7)), groups=groups, cap=cap)
+        hmax = e.hmax
         while True:
             sentinel = e.root
             if reduce_width_pass(e) is not None:
@@ -380,55 +388,100 @@ def test_next_pass_matches_a_new_engine(groups):
             t, remap = e.export_decomposition(skip=sentinel)
             if width(t) < 4:
                 break
-            hmax = e.hmax
-            below_root += sentinel != e.root
             e.next_pass(sentinel)
-            assert_matches_a_new_engine(e, g, t, remap, groups, cap)
+            assert e.hmax == hmax
+            fresh = assert_matches_a_new_engine(e, g, t, remap, groups, cap)
             compared += 1
-            narrowed += e.hmax < hmax
-    assert compared >= 16 and narrowed >= 8 and below_root >= 16, (
-        compared, narrowed, below_root)
+            wider += e.hmax > fresh.hmax
+    assert compared >= 16 and wider >= 8, (compared, wider)
 
 
 @pytest.mark.parametrize("groups", [2, 3])
 def test_next_pass_drops_a_start_leaf_below_the_root(groups):
     # the start leaf's lift is its neighbour's local table, which no join
-    # changes: dropping it wherever the pointer stands changes no table
+    # changes: dropping it below the pointer changes no table
     rng = random.Random(668)
     for trial in range(12):
         g, t = partial_ktree(rng, rng.randint(6, 20), k=1)
         cap = (None, 2)[trial % 2]
         e = SplitEngine(g, _with_sentinel(coarsen(t, 5)), groups=groups, cap=cap)
         sentinel = e.root
-        e.move_to(rng.choice([i for i in sorted(e.bags) if i != sentinel]))
+        e.move_to(rng.choice([i for i in sorted(e.bag_list) if i != sentinel]))
         t, remap = e.export_decomposition(skip=sentinel)
         e.next_pass(sentinel)
-        assert sentinel not in e.bags
+        assert sentinel not in e.bag_list
         assert_matches_a_new_engine(e, g, t, remap, groups, cap)
 
 
-def test_next_pass_needs_the_empty_start_leaf_at_the_root():
+def test_next_pass_needs_the_empty_start_leaf_below_the_pointer():
     g = path_graph(3)
     t = TreeDecomposition([[0, 1], [1, 2], []], [(0, 1), (1, 2)], root=0)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="not an empty leaf"):
         SplitEngine(g, t, root=0).next_pass(0)
-    between = TreeDecomposition([[0, 1], [], [1, 2]], [(0, 1), (1, 2)], root=1)
-    with pytest.raises(ContractViolation):
-        SplitEngine(g, between, root=1).next_pass(1)
-    e = SplitEngine(g, t, root=2)
+    between = TreeDecomposition([[0, 1], [], [2]], [(0, 1), (1, 2)], root=0)
+    with pytest.raises(ContractViolation, match="not an empty leaf"):
+        SplitEngine(Graph(3, [(0, 1)]), between, root=0).next_pass(1)
+    # an empty leaf at the pointer is refused, by next_pass and by export
+    at_root = SplitEngine(g, t, root=2)
+    with pytest.raises(ContractViolation, match="not an empty leaf below the pointer"):
+        at_root.next_pass(2)
+    with pytest.raises(ContractViolation, match="not a leaf below the pointer"):
+        at_root.export_decomposition(skip=2)
+    e = SplitEngine(g, t, root=0)
     e.next_pass(2)
-    assert e.root == 3 and 2 not in e.bags
+    assert e.root == 3 and 2 not in e.bag_list
     assert e.parent == {3: None, 0: 3, 1: 0}
-    # the start leaf need not be the root: the pointer may stand anywhere
-    below = SplitEngine(g, t, root=0)
-    below.next_pass(2)
-    assert below.root == 3 and 2 not in below.bags
-    assert below.parent == e.parent and below.table == e.table
+    hung = TreeDecomposition([[0, 1], [1, 2], []], [(0, 1), (0, 2)], root=2)
+    fresh = SplitEngine(g, hung)
+    assert e.table == {3 if i == 2 else i: tab for i, tab in fresh.table.items()}
     # tables cannot take back rows they never kept: the width may not grow
     e = SplitEngine(g, t, root=2)
-    e.edit(EditPlan([2, 1], [[0, 1, 2], []], [(0, 1)], {0: 0}, 1))
-    with pytest.raises(ContractViolation):
+    e.edit(EditPlan([2, 1], [[0, 1, 2], []], [(0, 1)], {0: 0}, 0))
+    with pytest.raises(ContractViolation, match="width grew from 1 to 2"):
         e.next_pass(4)
+
+
+def test_every_pass_runs_at_hmax_k_plus_1_below_the_width(monkeypatch):
+    # approximate caps its engines at k+1 and runs a pass only while the
+    # width is >= 2k+2, so hmax is k+1 at every pass, and next_pass always
+    # finds the start leaf of the pass just ended below the pointer
+    k_of = {}
+    init, next_pass = SplitEngine.__init__, SplitEngine.next_pass
+
+    def built(e, g, t, root=None, groups=3, cap=None):
+        init(e, g, t, root=root, groups=groups, cap=cap)
+        assert e.hmax == k_of["k"] + 1 < e.width, (e.hmax, e.width)
+
+    def passed(e, start):
+        assert start != e.root
+        next_pass(e, start)
+        assert e.hmax == k_of["k"] + 1 < e.width, (e.hmax, e.width)
+        k_of["next"] += 1
+
+    monkeypatch.setattr(SplitEngine, "__init__", built)
+    monkeypatch.setattr(SplitEngine, "next_pass", passed)
+    rng = random.Random(671)
+    cases = [
+        (k, False, *partial_ktree(rng, n, k=k)) for k, n in ((1, 40), (2, 40), (3, 30))
+    ]
+    cases = [(k, check, g, coarsen(t, 3 * k + 4)) for k, check, g, t in cases]
+    g, t = partial_ktree(random.Random(669), 40, k=2)
+    cases.append((2, True, g, coarsen(t, 10)))
+    cases.append((2, False, grid_graph(5, 8), None))
+    outcomes = []
+    passes = two_way = reused = 0
+    for k, check, g, t0 in cases:
+        k_of.update(k=k, next=0)
+        st = RunStats()
+        r = approximate(g, k, t0=t0, check=check, stats=st)
+        outcomes.append(type(r))
+        assert st.passes >= 1 and k_of["next"] <= st.passes - 1
+        passes += st.passes
+        two_way += st.two_way_passes
+        reused += k_of["next"]
+    assert outcomes == [Decomposition] * 4 + [LowerBound]
+    assert passes >= 10 and 4 <= two_way < passes and reused >= 6, (
+        passes, two_way, reused)
 
 
 def test_approximate_path3_k0():
