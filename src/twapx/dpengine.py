@@ -45,9 +45,9 @@ so that child's lift is never introduced up to the whole parent bag (_fold).
 No table is ever mutated in place: every write stores a new dict. So each
 tree edge keeps one entry, (the child table it came from, its forgotten
 table, the plan that packs codes of either bag onto the shared vertices),
-and reuses it for as long as the child holds that very table (_forget); no
-lift is kept. Edits and next_pass drop the entries of the nodes they
-remove, so at most one entry per directed tree edge stands.
+and reuses it for as long as the child holds that very table (_forget).
+Edits and next_pass drop the entries of the nodes they remove, so at most
+one entry per directed tree edge stands.
 
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is the

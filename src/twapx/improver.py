@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 from .dpengine import EditPlan, SplitEngine
 from .errors import ContractViolation
 from .graph import Graph
-from .splits import is_valid_split
 from .treedec import (
     TreeDecomposition,
     initial_decomposition,
@@ -312,7 +311,7 @@ def _check_assembled_split(
 ) -> None:
     """Reassemble a full vertex partition from the per-bag restrictions and
     verify it is a valid split of w."""
-    from .oracle import _components_avoiding
+    from .oracle import _components_avoiding, is_valid_split
 
     group_of: dict[int, int] = {}
     for st in info.states.values():
@@ -517,8 +516,8 @@ def approximate(
     most k+1 vertices, enough for every bag of size >= 2k+3 when tw <= k,
     so a bag that a pass cannot split, in either mode, certifies tw > k.
     One engine serves consecutive passes with the same groups
-    (SplitEngine.next_pass), and the decomposition is still validated before
-    every pass.
+    (SplitEngine.next_pass), and every pass's output is validated, in every
+    mode, before it is returned or passed on.
     """
     start = time.monotonic()
     if k < 0:
@@ -537,9 +536,6 @@ def approximate(
     while bad is None and width(t) >= 2 * k + 2:
         groups = _groups(width(t) + 1, k)
         if engine is not None and engine.groups == groups:
-            problems = validate(g, t)
-            if problems:
-                raise ContractViolation("invalid decomposition: " + problems[0])
             engine.next_pass(sentinel)
         else:
             engine = None  # free the old tables before the new ones are built
@@ -556,10 +552,9 @@ def approximate(
         st.moves += engine.moves
         st.tables += engine.tables_computed
         t, remap = engine.export_decomposition(skip=sentinel)
-    if check:
         problems = validate(g, t)
         if problems:
-            raise ContractViolation("result decomposition invalid: " + problems[0])
+            raise ContractViolation("pass output invalid: " + problems[0])
     st.outcome = "decomposition" if bad is None else "lower-bound"
     st.width = width(t)
     st.wall_time_s = time.monotonic() - start

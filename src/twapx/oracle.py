@@ -2,18 +2,80 @@
 
 Everything here is exponential-time and guarded by an explicit vertex budget;
 the point is independent ground truth for small instances, not speed. The
-subset dynamic program and the brute-force elimination search share no code
-with each other or with the incremental engine.
+subset dynamic program, the brute-force elimination search and the split
+search share no code with each other or with the incremental engine.
+
+A split of a bag W partitions the vertex set into three component groups and
+a separator X; the groups have no edges between them and each, together with
+X, stays strictly smaller than W. Splits are compared by separator size first
+and by the sum over X of home-bag depths second, where a vertex's home bag
+is its shallowest bag in the decomposition rooted at W's node.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import BudgetError
+from .errors import BudgetError, ContractViolation
 from .graph import Graph
-from .splits import Split, make_split
-from .treedec import TreeDecomposition, root_and_home_bags
+from .treedec import TreeDecomposition
+
+
+@dataclass(frozen=True)
+class Split:
+    """Canonical split: groups ordered by smallest member, empties last."""
+
+    c1: frozenset[int]
+    c2: frozenset[int]
+    c3: frozenset[int]
+    x: frozenset[int]
+    objective: tuple[int, int]
+
+    @property
+    def groups(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        return (self.c1, self.c2, self.c3)
+
+
+def is_valid_split(
+    g: Graph,
+    w: frozenset[int] | set[int] | list[int],
+    c1: frozenset[int] | set[int],
+    c2: frozenset[int] | set[int],
+    c3: frozenset[int] | set[int],
+    x: frozenset[int] | set[int],
+) -> bool:
+    """Decide whether (c1, c2, c3, x) splits bag w.
+
+    The four parts must partition the vertex set (ContractViolation
+    otherwise). Valid means: no edge joins two distinct groups, and
+    |w ∩ ci| + |x| < |w| for every group.
+    """
+    parts = [frozenset(c1), frozenset(c2), frozenset(c3), frozenset(x)]
+    total = sum(len(p) for p in parts)
+    union = frozenset().union(*parts)
+    if total != g.n or len(union) != g.n or (union and (min(union) < 0 or max(union) >= g.n)):
+        raise ContractViolation(
+            f"split parts do not partition the {g.n} vertices (sizes {[len(p) for p in parts]})"
+        )
+    side = {}
+    for idx, part in enumerate(parts[:3]):
+        for v in part:
+            side[v] = idx
+    for u in range(g.n):
+        su = side.get(u)
+        if su is None:
+            continue
+        for v in g.adj[u]:
+            sv = side.get(v)
+            if sv is not None and sv != su:
+                return False
+    wset = frozenset(w)
+    bound = len(wset)
+    for part in parts[:3]:
+        if len(wset & part) + len(parts[3]) >= bound:
+            return False
+    return True
 
 
 def _check_budget(g: Graph, max_n: int, what: str) -> None:
@@ -174,10 +236,10 @@ def exhaustive_min_split(
         raise ValueError("groups must be 2 or 3")
     # the engine orients its tree with its own code, so these home depths
     # stay an independent reference for its distance term
-    rv = root_and_home_bags(t, root)
+    home = _home_depths(t, root)
     wset = frozenset(w)
     n = g.n
-    dvec = [rv.depth[rv.home[v]] for v in range(n)]
+    dvec = [home[v] for v in range(n)]
 
     def key(mask: int) -> tuple[int, int, int]:
         size = mask.bit_count()
@@ -190,20 +252,41 @@ def exhaustive_min_split(
         return (size, d, mask)
 
     cap_all = len(wset)
-    for mask in sorted(range(1 << n), key=key):
-        x = frozenset(v for v in range(n) if mask >> v & 1)
-        cap = cap_all - len(x) - 1
+    for size, d, mask in sorted(map(key, range(1 << n))):
+        cap = cap_all - size - 1
         if cap < 0:
             continue
+        x = frozenset(v for v in range(n) if mask >> v & 1)
         comps = _components_avoiding(g, x)
         weights = [len(wset.intersection(c)) for c in comps]
         choice = _assign_components(weights, cap, groups)
         if choice is None:
             continue
-        parts = [set(), set(), set()]
+        parts: list[set[int]] = [set(), set(), set()]
         for ci, comp in enumerate(comps):
             parts[choice[ci]].update(comp)
-        return make_split(
-            frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]), x, rv
-        )
+        c1, c2, c3 = sorted(map(frozenset, parts), key=lambda p: min(p, default=n))
+        return Split(c1, c2, c3, x, (size, d))
     return None
+
+
+def _home_depths(t: TreeDecomposition, root: int) -> dict[int, int]:
+    """Map each vertex to the depth, in tree edges from root, of its
+    shallowest bag, found breadth-first."""
+    nn = len(t.bags)
+    if not (0 <= root < nn):
+        raise ValueError(f"root {root} out of range for {nn} nodes")
+    adj = t.adjacency()
+    depth = {root: 0}
+    home: dict[int, int] = {}
+    order = [root]
+    for node in order:  # breadth-first, so the first sighting is the shallowest
+        for x in t.bags[node]:
+            home.setdefault(x, depth[node])
+        for nb in adj[node]:
+            if nb not in depth:
+                depth[nb] = depth[node] + 1
+                order.append(nb)
+    if len(order) != nn:
+        raise ValueError("decomposition is not connected")
+    return home

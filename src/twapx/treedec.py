@@ -1,5 +1,5 @@
-"""Tree decompositions: container, validation, rooting, normalization, PACE .td I/O,
-and elimination-ordering bootstrap heuristics.
+"""Tree decompositions: container, validation, normalization, PACE .td I/O, and
+elimination-ordering bootstrap heuristics.
 
 The bootstrap plays the elimination game once: each move appends the
 eliminated vertex's bag, and the same bags are then linked into the tree,
@@ -49,21 +49,6 @@ class TreeDecomposition:
 
     def __repr__(self) -> str:
         return f"TreeDecomposition(nodes={len(self.bags)}, width={width(self)})"
-
-
-@dataclass
-class RootedView:
-    """Orientation of a decomposition toward a root node.
-
-    home[x] is the unique node of minimum depth whose bag contains x; depth is
-    measured in tree edges from the root; order is a breadth-first node order.
-    """
-
-    root: int
-    parent: list[int | None]
-    depth: list[int]
-    home: dict[int, int]
-    order: list[int]
 
 
 def width(t: TreeDecomposition) -> int:
@@ -202,37 +187,6 @@ def _find(up: list[int], i: int) -> int:
     while up[i] != i:
         up[i] = i = up[up[i]]
     return i
-
-
-def root_and_home_bags(t: TreeDecomposition, r: int) -> RootedView:
-    """Breadth-first rooting at node r with per-vertex home bags."""
-    nn = len(t.bags)
-    if not (0 <= r < nn):
-        raise ValueError(f"root {r} out of range for {nn} nodes")
-    adj = t.adjacency()
-    parent: list[int | None] = [None] * nn
-    depth = [0] * nn
-    order = [r]
-    seen = [False] * nn
-    seen[r] = True
-    q = deque([r])
-    while q:
-        cur = q.popleft()
-        for nb in adj[cur]:
-            if not seen[nb]:
-                seen[nb] = True
-                parent[nb] = cur
-                depth[nb] = depth[cur] + 1
-                order.append(nb)
-                q.append(nb)
-    if len(order) != nn:
-        raise ValueError("decomposition is not connected")
-    home: dict[int, int] = {}
-    for node in order:  # breadth-first, so first sighting is the minimum depth
-        for x in t.bags[node]:
-            if x not in home:
-                home[x] = node
-    return RootedView(root=r, parent=parent, depth=depth, home=home, order=order)
 
 
 def normalize_degree3(t: TreeDecomposition) -> TreeDecomposition:

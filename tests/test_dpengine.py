@@ -26,7 +26,7 @@ from twapx import (
 )
 from twapx.dpengine import SEP, _canon, _full_lows, decode
 from twapx.improver import _with_sentinel, reduce_width_pass
-from twapx.splits import is_valid_split
+from twapx.oracle import is_valid_split
 from twapx.treedec import normalize_degree3
 
 from gen import (

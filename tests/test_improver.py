@@ -144,6 +144,80 @@ def test_build_replacement_contracts_subset_bags(monkeypatch, k):
     assert len(plans) == len(sizes) >= 40 and merged >= len(plans), (len(plans), merged)
 
 
+def _spill_instance():
+    # a1=0, a2=1, b1=2, b2=3, z=4, x=5, y=6: the triangles a1 a2 z and
+    # b1 b2 y hang apart, and x sees a1, a2, b1, b2. Bag 0 holds all but x,
+    # and bag 1 = {a1, a2, b1, b2, x} is x's home, below bag 0.
+    g = Graph(
+        7,
+        [(0, 1), (0, 4), (1, 4), (2, 3), (2, 6), (3, 6), (0, 5), (1, 5), (2, 5), (3, 5)],
+    )
+    return g, TreeDecomposition([[0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 5]], [(0, 1)])
+
+
+def test_build_replacement_spills_a_separator_vertex_homed_below(monkeypatch):
+    # The only minimum split of bag 0 is {a1, a2, z} | {b1, b2, y} with
+    # X = {x}, and x is homed at node 1, so B^x of the root is {x}. The
+    # copies of node 1 and the separator bag hold x, and the separator bag
+    # joins the root copies, so every root copy must hold x too, or the bags
+    # holding x fall apart. Contraction then leaves the two root copies.
+    g, t0 = _spill_instance()
+    fs = frozenset
+    s = exhaustive_min_split(g, t0, 0, t0.bags[0])
+    assert s.groups == (fs({0, 1, 4}), fs({2, 3, 6}), fs())
+    assert (s.x, s.objective) == (fs({5}), (1, 1))
+    plans, copies = [], []
+    build, contract = improver.build_replacement, improver._contract
+
+    def recorded_build(engine, info, pointer_border):
+        plan = build(engine, info, pointer_border)
+        plans.append((engine.root, info.nodes, plan))
+        return plan
+
+    def recorded_contract(bags, ledges, attach):
+        copies.append(list(bags))
+        return contract(bags, ledges, attach)
+
+    monkeypatch.setattr(improver, "build_replacement", recorded_build)
+    monkeypatch.setattr(improver, "_contract", recorded_contract)
+    for check in (False, True):
+        r = approximate(g, 1, t0=t0, check=check)
+        assert isinstance(r, Decomposition)
+        assert (r.td.bags, r.td.edges) == ([[0, 1, 4, 5], [2, 3, 5, 6]], [(0, 1)])
+        assert validate(g, r.td) == [] and width(r.td) == 3
+    assert len(plans) == len(copies) == 2
+    for (root, nodes, plan), bags in zip(plans, copies):
+        assert root == 0 and nodes == [0, 1]
+        # the copies of group i are bags 2i (the root) and 2i+1 (node 1)
+        root_copies = [bags[2 * i] for i in range(3)]
+        assert root_copies == [fs({0, 1, 4, 5}), fs({2, 3, 5, 6}), fs({5})]
+        assert plan.bags == [fs({0, 1, 4, 5}), fs({2, 3, 5, 6})]
+
+
+def test_plain_run_validates_each_pass_output(monkeypatch):
+    # a plan that leaves the spilled separator vertex x out of its bags
+    # uncovers x; the plain engine applies it, and the validation of the
+    # pass's output refuses the result
+    g, t0 = _spill_instance()
+    build = improver.build_replacement
+
+    def without_spill(engine, info, pointer_border):
+        plan = build(engine, info, pointer_border)
+        spill = info.x_full.difference(engine.bag_list[engine.root])
+        assert spill == {5}
+        return EditPlan(
+            removed=plan.removed,
+            bags=[b - spill for b in plan.bags],
+            edges=plan.edges,
+            attach=plan.attach,
+            pointer=plan.pointer,
+        )
+
+    monkeypatch.setattr(improver, "build_replacement", without_spill)
+    with pytest.raises(ContractViolation, match="pass output invalid: .*vertex 5"):
+        approximate(g, 1, t0=t0)
+
+
 def test_find_editable_without_split_raises():
     g = clique(3)
     e = SplitEngine(g, TreeDecomposition([[0, 1, 2]], [], root=0))

@@ -16,9 +16,8 @@ from twapx import (
     exact_treewidth,
     exhaustive_min_split,
 )
-from twapx.oracle import exact_treewidth_naive
-from twapx.splits import split_distance
-from twapx.treedec import normalize_degree3, root_and_home_bags
+from twapx.oracle import _home_depths, exact_treewidth_naive
+from twapx.treedec import normalize_degree3
 
 from gen import (
     clique,
@@ -145,14 +144,14 @@ def test_min_split_objective_distance_matches_helper():
         n = rng.randint(3, 9)
         g = random_connected_graph(rng, n, rng.randint(0, n))
         t, root = random_degree3_decomposition(rng, g)
-        rv = root_and_home_bags(t, root)
+        home = _home_depths(t, root)
         w = set(t.bags[root])
         if len(w) < 2:
             continue
         s = exhaustive_min_split(g, t, root, w)
         if s is None:
             continue
-        assert s.objective == (len(s.x), split_distance(s.x, rv))
+        assert s.objective == (len(s.x), sum(home[v] for v in s.x))
         # groups are reported in canonical order
         nonempty = [p for p in s.groups if p]
         assert nonempty == sorted(nonempty, key=min)

@@ -1,4 +1,4 @@
-"""Tree decomposition container, validation, rooting, normalization,
+"""Tree decomposition container, validation, normalization,
 .td format, and bootstrap heuristic tests."""
 
 import random
@@ -11,7 +11,6 @@ from twapx.treedec import (
     decomposition_from_order,
     initial_decomposition,
     normalize_degree3,
-    root_and_home_bags,
 )
 
 from gen import clique, grid_graph, path_graph, random_connected_graph, star_graph
@@ -52,23 +51,6 @@ def test_validate_reports_root_out_of_range():
     for root in (2, -1):
         t = TreeDecomposition([[0, 1], [1, 2]], [(0, 1)], root=root)
         assert validate(g, t) == [f"structure: root {root} out of range for 2 nodes"]
-
-
-def test_rooted_view_home_bags():
-    t = TreeDecomposition([[0, 1], [1, 2], [2, 3]], [(0, 1), (1, 2)])
-    rv = root_and_home_bags(t, 0)
-    assert rv.parent == [None, 0, 1]
-    assert rv.depth == [0, 1, 2]
-    assert rv.home == {0: 0, 1: 0, 2: 1, 3: 2}
-    rv2 = root_and_home_bags(t, 2)
-    assert rv2.home == {2: 2, 3: 2, 1: 1, 0: 0}
-    assert rv2.depth == [2, 1, 0]
-
-
-def test_rooted_view_rejects_disconnected():
-    t = TreeDecomposition([[0], [1]], [])
-    with pytest.raises(ValueError):
-        root_and_home_bags(t, 0)
 
 
 def test_normalize_degree3_star_center():
