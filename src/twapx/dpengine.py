@@ -11,16 +11,16 @@ the only digit with both bits set, (code & (code >> 1) & lows).bit_count()
 counts the separator digits at the positions whose low bits lows holds. A
 table maps code -> (nsep, cost), the lexicographically least such pair over
 the assignments of the subtree of i that restrict to code: nsep counts their
-separator vertices and cost sums, over those vertices, the edge distance from
-their shallowest containing bag to i. Only this pair can reach a split: the
-split test only gets easier as nsep falls, and every kernel step keeps
-(nsep, cost) order (a lift adds nsep minus a per-code constant to cost, an
-introduce adds one to nsep, a join adds pairs and subtracts a per-code
-constant from nsep, a forget takes minima). Codes keep nsep <= hmax, the
-largest bag size minus one when the engine is built or the engine's cap,
-whichever is smaller, fixed for the engine's life; nsep never falls along a
-lift or a join, so a capped table is the uncapped one with its codes of
-nsep > cap dropped.
+separator vertices and cost sums, over those vertices, the edge distance
+from their shallowest containing bag to i. Only this pair can reach a split:
+the split test only gets easier as nsep falls, and every kernel step keeps
+(nsep, cost) order (a forget takes minima, re-anchoring one edge up adds
+nsep minus the separator digits of the shared vertices to cost, an introduce
+adds one to nsep, a join adds pairs and subtracts a per-code constant from
+nsep). Codes keep nsep <= hmax, the largest bag size minus one when the
+engine is built or the engine's cap, whichever is smaller, fixed for the
+engine's life; nsep never falls along a lift or a join, so a capped table is
+the uncapped one with its codes of nsep > cap dropped.
 
 The groups are interchangeable: relabelling the groups of a code keeps its
 split test, nsep and cost, so every table is closed under the 6 relabellings
@@ -40,14 +40,19 @@ parent's labels, so states, splits and edits are those of the full tables.
 
 A node's table is one child's lift with every other child folded in: a fold
 looks each code up, projected onto the shared vertices, in the child's
-forgotten table (its table re-anchored and projected onto those vertices),
-so that child's lift is never introduced up to the whole parent bag (_fold).
-No table is ever mutated in place: every write stores a new dict. So each
-tree edge keeps one entry, (the child table it came from, its forgotten
-table, the plan that packs codes of either bag onto the shared vertices),
-and reuses it for as long as the child holds that very table (_forget).
-Edits and next_pass drop the entries of the nodes they remove, so at most
-one entry per directed tree edge stands.
+forgotten table (its own pairs projected onto those vertices, the least per
+canonical code), so that child's lift is never introduced up to the whole
+parent bag (_fold). The forgotten table keeps the child's own pairs, not
+re-anchored; whoever reads a pair re-anchors it there. That is exact: the
+separator digits re-anchoring subtracts are the same for every child code of
+one canonical code, so the shift keeps their order. No table is ever mutated
+in place: every write stores a new dict. So each tree edge keeps one entry,
+(the child table it came from, its forgotten table, the plan that packs
+codes of either bag onto the shared vertices), and reuses it for as long as
+the child holds that very table (_forget). When the shared vertices are the
+whole child bag, the forgotten table is the child table itself. Edits and
+next_pass drop the entries of the nodes they remove, so at most one entry
+per directed tree edge stands.
 
 Supported operations: re-root one edge at a time (two tables per step: the
 old root's is rebuilt from its remaining children, the new root's is the
@@ -65,7 +70,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import ContractViolation
 from .graph import Graph
@@ -74,8 +78,8 @@ from .treedec import TreeDecomposition, validate
 SEP = 3  # separator digit; 0..2 are the component groups
 
 # a kept tree edge (child, parent), see SplitEngine._forget: (child table,
-# forgotten table, pack plan); the plan is (frame, shared lows, child runs,
-# frame lows, parent runs, parent lows)
+# forgotten table, pack plan); the plan is (frame, child runs, frame lows,
+# parent runs, parent lows)
 _Edge = tuple[dict, dict, tuple]
 
 
@@ -235,24 +239,29 @@ class SplitEngine:
         was made from the table child holds now.
 
         An entry is (child table, its forgotten table, pack plan). The
-        forgotten table is the child table re-anchored and projected onto
-        the frame, the vertices shared with bag i, in one pass: costs advance
-        one edge toward i (each separator vertex counted in nsep pays 1
-        unless it is in both bags) and the vertices absent from bag i are
-        projected out, taking minima. A projection can lose the vertex that
-        gave a group its label, so it is put back in canonical form over the
-        frame before the minimum is taken: a relabelling keeps the pair, so
-        the least pair of an orbit is the least over its canonical
-        projections. _canon runs once per distinct projection. When the frame
-        is the whole child bag, the projection is the identity and the
-        child's canonical codes stay canonical and distinct, so neither runs.
+        forgotten table is the child table projected onto the frame, the
+        vertices shared with bag i: the vertices absent from bag i are
+        projected out, keeping for each code over the frame the least of the
+        child's own pairs. A projection can lose the vertex that gave a group
+        its label, so it is put back in canonical form over the frame before
+        the minimum is taken: a relabelling keeps the pair, so the least pair
+        of an orbit is the least over its canonical projections. _canon runs
+        once per distinct projection. When the frame is the whole child bag,
+        the projection is the identity and the child's canonical codes stay
+        canonical and distinct, so the forgotten table is the child table.
+
+        Costs are not re-anchored here: each reader advances a pair it reads
+        at frame code f one edge toward i, adding nsep minus the separator
+        digits of f to the cost (each separator vertex counted in nsep pays 1
+        unless it is in both bags). That term's subtrahend is fixed by f, so
+        the shift keeps the order of the pairs projected onto f, and the
+        least pair before it is the least after.
 
         The pack plan depends on the two bags alone, so it is made with an
-        edge's first entry and passed to the next: (frame, the low bits of
-        the frame's digits within the child bag, the runs that pack a child
-        code onto the frame, the low bits of the frame's own digits, the runs
-        that pack a code over bag i onto the frame, the low bits of the
-        frame's digits within bag i); see _pack_plan.
+        edge's first entry and passed to the next: (frame, the runs that
+        pack a child code onto the frame, the low bits of the frame's own
+        digits, the runs that pack a code over bag i onto the frame, the low
+        bits of the frame's digits within bag i); see _pack_plan.
 
         Reusing an entry is exact: no table is mutated in place (every write
         stores a new dict), node ids are never reused, and the entry holds the
@@ -268,23 +277,17 @@ class SplitEngine:
         if kept is None:
             pbag = self.bag_list[i]
             frame = [v for v in cbag if v in pbag]
-            shared, runs = _pack_plan(cbag, pbag)
+            runs = _pack_plan(cbag, pbag)[1]
             plows, pruns = _pack_plan(pbag, cbag)
-            plan = (frame, shared, runs, _full_lows(len(frame)), pruns, plows)
+            plan = (frame, runs, _full_lows(len(frame)), pruns, plows)
         else:
             plan = kept[2]
-        frame, shared, runs, flows = plan[:4]
-        out: dict[int, tuple[int, int]] = {}
-        if len(frame) == len(cbag):
-            for code, hd in tab.items():
-                add = hd[0] - (code & (code >> 1) & shared).bit_count()
-                out[code] = (hd[0], hd[1] + add) if add else hd
-        else:
+        frame, runs, flows = plan[:3]
+        out = tab
+        if len(frame) < len(cbag):
+            out = {}
             canon: dict[int, int] = {}
             for code, hd in tab.items():
-                add = hd[0] - (code & (code >> 1) & shared).bit_count()
-                if add:
-                    hd = (hd[0], hd[1] + add)
                 proj = 0
                 for mask, shift in runs:  # _pack, inlined: once per child code
                     proj |= (code & mask) >> shift
@@ -299,10 +302,14 @@ class SplitEngine:
 
     def _lift(self, child: int, i: int) -> dict[int, tuple[int, int]]:
         """Child table re-expressed over the bag of i: its forgotten table
-        (_forget) with the vertices of bag i absent from the child
-        introduced."""
-        _tab, proj, plan = self._forget(child, i)
-        return self._introduce_all(proj, plan[0], self.bag_list[i])
+        (_forget), re-anchored one edge toward i as it is handed over, with
+        the vertices of bag i absent from the child introduced."""
+        _tab, proj, (frame, _runs, flows, _pruns, _plows) = self._forget(child, i)
+        lifted = {
+            code: (h, d + h - (code & (code >> 1) & flows).bit_count())
+            for code, (h, d) in proj.items()
+        }
+        return self._introduce_all(lifted, frame, self.bag_list[i])
 
     def _fold(
         self, tab: dict[int, tuple[int, int]], child: int, i: int
@@ -311,40 +318,43 @@ class SplitEngine:
         without introducing that lift.
 
         The join keeps the codes of tab that the lift holds too, with h = h1
-        + h2 - the separator digits of bag i, and d = d1 + d2. When the frame
-        is the whole bag i, the lift is the forgotten table, and the smaller
-        of the two tables is scanned. Otherwise each code of tab is packed
-        onto the frame and looked up, in canonical form, in the forgotten
-        table (the lookup is memoised per packed code), taking off only the
-        separator digits of the frame: a code of tab already satisfies every
-        edge of bag i, which is all the introduce step checks, and its
-        separators off the frame, which the introduce step would add to h2,
-        the join takes off again; the introduce step's cap only drops codes
-        whose join would pass hmax too.
+        + h2 - the separator digits of bag i, and d = d1 + d2. Each code of
+        tab is looked up in the forgotten table, whose pair (h2, d2) at frame
+        code f is not re-anchored yet: with add = h2 - the separator digits
+        of f, the lift's pair is (h2, d2 + add), so the join gives h = h1 +
+        add and d = d1 + d2 + add. When the frame is the whole bag i, the
+        lift is the forgotten table re-anchored, and tab is scanned.
+        Otherwise each code of tab is packed onto the frame and looked up in
+        canonical form (the lookup is memoised per packed code), taking off
+        only the separator digits of the frame: a code of tab already
+        satisfies every edge of bag i, which is all the introduce step
+        checks, and its separators off the frame, which the introduce step
+        would add to h2, the join takes off again; the introduce step's cap
+        only drops codes whose join would pass hmax too.
         """
-        _tab, proj, plan = self._forget(child, i)
-        frame, flows, runs = plan[0], plan[3], plan[4]
+        _tab, proj, (frame, _runs, flows, pruns, _plows) = self._forget(child, i)
         hmax = self.hmax
         out: dict[int, tuple[int, int]] = {}
         if len(frame) == len(self.bag_list[i]):
-            small, big = (tab, proj) if len(tab) <= len(proj) else (proj, tab)
-            for code, (h1, d1) in small.items():
-                other = big.get(code)
+            for code, (h1, d1) in tab.items():
+                other = proj.get(code)
                 if other is not None:
-                    h = h1 + other[0] - (code & (code >> 1) & flows).bit_count()
+                    add = other[0] - (code & (code >> 1) & flows).bit_count()
+                    h = h1 + add
                     if h <= hmax:
-                        out[code] = (h, d1 + other[1])
+                        out[code] = (h, d1 + other[1] + add)
             return out
         memo: dict[int, tuple[int, int] | None] = {}
         for code, (h1, d1) in tab.items():
             p = 0
-            for mask, shift in runs:  # _pack, inlined: once per code
+            for mask, shift in pruns:  # _pack, inlined: once per code
                 p |= (code & mask) >> shift
             hit = memo.get(p, False)
             if hit is False:
                 other = proj.get(_canon(p, flows))
                 if other is not None:
-                    other = (other[0] - (p & (p >> 1) & flows).bit_count(), other[1])
+                    add = other[0] - (p & (p >> 1) & flows).bit_count()
+                    other = (add, other[1] + add)
                 hit = memo[p] = other
             if hit is not None:
                 h = h1 + hit[0]
@@ -500,19 +510,20 @@ class SplitEngine:
         while a table holds one canonical code per orbit and stands for every
         relabelling of it, with the same pair. Over all those relabellings,
         the child takes the codes that project onto code, their pairs
-        re-anchored as _forget does, and keeps the least (nsep, cost), then the
-        smallest code. An entry stands for such a code exactly when its own
-        projection onto the shared vertices is a relabelling of code there:
-        the group masks of code's part under each permutation of the labels,
-        its separator digits kept, at most 6 codes (2 in two-way mode). Only
-        an entry whose projection is one of them is re-anchored, and it is
-        relabelled directly: a group that meets the shared vertices takes the
-        label code gives them, and the others take the labels code leaves
-        free, in order, which gives the least code (a canonical code's groups
-        first appear in label order). Every state is the pair of its code,
-        and a join adds the children's lifted pairs, so these least pairs add
-        up to (h, d). The final check guards that. Builds no table: the pack
-        plan comes from the edge entry (_forget).
+        re-anchored as the lift does, and keeps the least (nsep, cost), then
+        the smallest code. Re-anchoring keeps the order of the pairs that
+        project onto one code (see _forget), so the winning pair is the
+        forgotten table's at the canonical form f of code's part. An entry
+        stands for a winner exactly when it holds that very pair and its own
+        projection onto the shared vertices is a relabelling of code there,
+        that is, has canonical form f. Each such entry is relabelled
+        directly: a group that meets the shared vertices takes the label
+        code gives them, and the others take the labels code leaves free, in
+        order, which gives the least code (a canonical code's groups first
+        appear in label order). Every state is the pair of its code, and a
+        join adds the children's lifted pairs, so these least pairs add up to
+        (h, d). The final check guards that. Builds no table: the pack plan
+        and the forgotten table come from the edge entry (_forget).
         """
         kids = self.children[i]
         code, h, d = self.state[i]
@@ -520,39 +531,32 @@ class SplitEngine:
         seps = code & (code >> 1)
         got_h, got_d = (seps & lows).bit_count() * (1 - len(kids)), 0
         for c in kids:
-            _frame, shared, runs, flows, pruns, plows = self._forget(c, i)[2]
+            _tab, proj, (_frame, runs, flows, pruns, plows) = self._forget(c, i)
             intro = (seps & (lows ^ plows)).bit_count()
             ccode = _pack(code, pruns)
+            fcode = _canon(ccode, flows)
+            pair = proj[fcode]
             clows = _full_lows(len(self.bag_list[c]))
-            *labels, sep = _masks(ccode, flows)
-            wanted = {
-                sep * SEP + sum(m * j for m, j in zip(labels, perm))
-                for perm in permutations(range(self.groups))
-            }
+            labels = _masks(ccode, flows)[:3]
             spare = [j for j in range(self.groups) if not labels[j]]
             best = None
-            for key, (ch, cd) in self.table[c].items():
-                proj = 0
-                for mask, shift in runs:  # _pack, inlined: once per child code
-                    proj |= (key & mask) >> shift
-                if proj not in wanted:
+            for key, hd in self.table[c].items():
+                if hd != pair:
                     continue
-                hd = (ch, cd + ch - (key & (key >> 1) & shared).bit_count())
-                if best is not None and hd > best[:2]:
+                p = _pack(key, runs)
+                if _canon(p, flows) != fcode:
                     continue
-                parts, meets = _masks(key, clows), _masks(proj, flows)
+                parts, meets = _masks(key, clows), _masks(p, flows)
                 free = iter(spare)
                 full = parts[3] * SEP
                 for part, meet in zip(parts[:3], meets):
                     if part:
                         full |= part * (labels.index(meet) if meet else next(free))
-                cand = (*hd, full, key)
-                if best is None or cand < best:
-                    best = cand
-            ch, cost, full, key = best
-            self.state[c] = (full, *self.table[c][key])
-            got_h += ch + intro
-            got_d += cost
+                if best is None or (full, key) < best:
+                    best = (full, key)
+            self.state[c] = (best[0], *pair)
+            got_h += pair[0] + intro
+            got_d += pair[1] + pair[0] - (fcode & (fcode >> 1) & flows).bit_count()
         if (got_h, got_d) != (h, d):
             raise ContractViolation(f"cannot read back the split at node {i}")
 

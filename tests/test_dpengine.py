@@ -24,7 +24,7 @@ from twapx import (
     TreeDecomposition,
     exhaustive_min_split,
 )
-from twapx.dpengine import SEP, _canon, _full_lows, decode
+from twapx.dpengine import SEP, _canon, _full_lows, _pack, _pack_plan, decode
 from twapx.improver import _with_sentinel, reduce_width_pass
 from twapx.oracle import is_valid_split
 from twapx.treedec import normalize_degree3
@@ -353,7 +353,7 @@ def test_moved_tables_match_brute_force(groups):
 # some of the edges around. In "memo", 1 meets only 0, so dropping it can
 # lose the label of its group, which _canon restores; and 0 must be a
 # separator when 2 and 3 part, a cost that, from the moved root, an identity
-# lift re-anchors.
+# lift re-anchors as it reads the child table, which is its forgotten table.
 SUBSET_GRAPH = Graph(6, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 4), (4, 5)])
 SUBSET_CASES = {
     "identity": TreeDecomposition(
@@ -544,6 +544,34 @@ def test_kept_lifts_are_exact(monkeypatch, groups, cap):
     survived = walk_passes(groups, cap, 930 + groups, assert_lifts_exact)
     assert kept_current[True] >= 100 and kept_current[False] >= 20, kept_current
     assert survived >= 50, survived
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("groups", [2, 3])
+def test_forgotten_tables_are_plain_projections(groups, cap):
+    # every kept edge entry, current or stale, holds the plain projection of
+    # the child table it was made from: the child's own pairs, not
+    # re-anchored, the least per canonical code over the shared vertices;
+    # and it keeps no table of its own exactly when nothing is projected out
+    frames = {True: 0, False: 0}
+
+    def check(e, _removed):
+        for (c, p), (tab, proj, _plan) in e._edges.items():
+            cbag, pbag = e.bag_list[c], e.bag_list[p]
+            runs = _pack_plan(cbag, pbag)[1]
+            flows = _full_lows(len([v for v in cbag if v in pbag]))
+            want = {}
+            for code, hd in tab.items():
+                f = _canon(_pack(code, runs), flows)
+                if f not in want or hd < want[f]:
+                    want[f] = hd
+            assert proj == want, (c, p)
+            whole = set(cbag) <= set(pbag)
+            assert (proj is tab) == whole, (c, p)
+            frames[whole] += 1
+
+    walk_passes(groups, cap, 950 + groups, check)
+    assert min(frames.values()) >= 1000, frames
 
 
 @pytest.mark.parametrize("cap", [None, 1])
